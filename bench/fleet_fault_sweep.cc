@@ -13,8 +13,9 @@
  * --smoke runs the CI assertion mode instead: the disabled path is
  * bit-identical to a fault-free fleet, a scripted host death returns
  * its integer pool grant for immediate re-lending (and the victim
- * retries to completion), and seeded chaos runs hold every
- * conservation ledger and replay deterministically. Exits non-zero on
+ * retries to completion), seeded chaos runs hold every conservation
+ * ledger and replay deterministically, and a job started one year
+ * into the clock completes within an event budget. Exits non-zero on
  * any violation.
  */
 
@@ -249,6 +250,31 @@ smoke()
         const FleetReport again = runFleet(makeFaultFleet(
             2, 2, w, 1.5, 2, /*seed=*/1, /*disturbed=*/true));
         check(again.toJson() == first, "same-seed chaos replay");
+    }
+
+    // 4. The clock: a job started one year into the clock (past 2^24 s,
+    // where one ulp of the clock exceeds 1 ns) completes within an
+    // event budget, in as many events as at t0 = 0. The budget turns a
+    // completion livelock into a failure instead of a hang.
+    {
+        auto eventsAt = [](Time t0) -> std::uint64_t {
+            const FleetJobSpec job = makeJob(0, /*disturbed=*/false);
+            auto server = buildServer(job.config);
+            EventQueue &eq = server->core().events();
+            eq.schedule(t0, [] {});
+            eq.run(t0);
+            TrainingSession session(*server);
+            session.start(job.warmupSteps, job.measureSteps);
+            const std::uint64_t first = eq.numExecuted();
+            while (!session.done() && eq.numExecuted() - first < 5000 &&
+                   eq.step()) {
+            }
+            return session.done() ? eq.numExecuted() - first : 0;
+        };
+        const std::uint64_t late = eventsAt(365.0 * 86400.0);
+        check(late > 0, "job started at 1 year completes within the budget");
+        check(late == eventsAt(0.0),
+              "job started at 1 year takes the events it takes at t0 = 0");
     }
 
     std::printf(failures == 0

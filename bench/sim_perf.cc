@@ -3,8 +3,8 @@
  * Simulator hot-path benchmark: solver events/sec and wall time.
  *
  * Scenarios, each run under every solver configuration (GlobalResolve —
- * the seed's coupled whole-network loop, the baseline — FullResolve,
- * Incremental, and Incremental + parallel scan):
+ * the seed's coupled whole-network loop, the baseline — FullResolve and
+ * Incremental):
  *
  *  - fig19_at_256: the paper's TrainBox preset at 256 accelerators — a
  *    real end-to-end session, the largest single-server configuration in
@@ -80,10 +80,8 @@ struct CaseResult
     double metric = 0.0;          ///< scenario metric (throughput, ...)
 };
 
-constexpr unsigned kParallelWorkers = 4;
-
 const char *
-modeName(FluidNetwork::SolverMode mode, bool parallel)
+modeName(FluidNetwork::SolverMode mode)
 {
     switch (mode) {
     case FluidNetwork::SolverMode::GlobalResolve:
@@ -91,7 +89,7 @@ modeName(FluidNetwork::SolverMode mode, bool parallel)
     case FluidNetwork::SolverMode::FullResolve:
         return "full_resolve";
     case FluidNetwork::SolverMode::Incremental:
-        return parallel ? "incremental_parallel" : "incremental";
+        return "incremental";
     }
     return "?";
 }
@@ -100,12 +98,12 @@ modeName(FluidNetwork::SolverMode mode, bool parallel)
 
 CaseResult
 runSession(const char *caseName, std::size_t accs,
-           FluidNetwork::SolverMode mode, bool parallel, std::size_t warmup,
+           FluidNetwork::SolverMode mode, std::size_t warmup,
            std::size_t measure, std::size_t reps)
 {
     CaseResult r;
     r.name = caseName;
-    r.mode = modeName(mode, parallel);
+    r.mode = modeName(mode);
     for (std::size_t rep = 0; rep < reps; ++rep) {
         ServerConfig cfg;
         cfg.preset = ArchPreset::TrainBox;
@@ -114,9 +112,6 @@ runSession(const char *caseName, std::size_t accs,
 
         auto server = buildServer(cfg);
         server->core().fluid().setSolverMode(mode);
-        if (parallel)
-            server->core().fluid().setParallelWorkers(kParallelWorkers,
-                                                      /*minFlows=*/64);
 
         TrainingSession session(*server);
         const auto t0 = Clock::now();
@@ -134,14 +129,11 @@ runSession(const char *caseName, std::size_t accs,
 
 CaseResult
 runFleet(const char *caseName, std::size_t jobs,
-         std::uint64_t targetEvents, FluidNetwork::SolverMode mode,
-         bool parallel)
+         std::uint64_t targetEvents, FluidNetwork::SolverMode mode)
 {
     EventQueue eq;
     FluidNetwork net(eq);
     net.setSolverMode(mode);
-    if (parallel)
-        net.setParallelWorkers(kParallelWorkers, /*minFlows=*/64);
 
     // Per-job private resources with heterogeneous capacities: the
     // sharing graph is `jobs` disjoint components whose bottleneck
@@ -198,7 +190,7 @@ runFleet(const char *caseName, std::size_t jobs,
 
     CaseResult r;
     r.name = caseName;
-    r.mode = modeName(mode, parallel);
+    r.mode = modeName(mode);
     r.wallS = wall;
     r.events = events;
     r.eventsPerSec =
@@ -220,8 +212,7 @@ runFleet(const char *caseName, std::size_t jobs,
  */
 CaseResult
 runFleetSessions(const char *caseName, std::size_t jobs,
-                 FluidNetwork::SolverMode mode, bool parallel,
-                 std::size_t warmup, std::size_t measure)
+                 FluidNetwork::SolverMode mode, std::size_t warmup, std::size_t measure)
 {
     FleetConfig cfg;
     for (std::size_t j = 0; j < jobs; ++j) {
@@ -242,7 +233,6 @@ runFleetSessions(const char *caseName, std::size_t jobs,
     }
     cfg.overrideSolverMode = true;
     cfg.solverMode = mode;
-    cfg.parallelWorkers = parallel ? kParallelWorkers : 0;
 
     const auto t0 = Clock::now();
     const FleetReport report = runFleet(std::move(cfg));
@@ -250,7 +240,7 @@ runFleetSessions(const char *caseName, std::size_t jobs,
 
     CaseResult r;
     r.name = caseName;
-    r.mode = modeName(mode, parallel);
+    r.mode = modeName(mode);
     r.wallS = wall;
     r.events = report.eventsExecuted;
     r.eventsPerSec =
@@ -412,13 +402,6 @@ main(int argc, char **argv)
         }
     }
 
-    bool haveParallel = false;
-    {
-        EventQueue probeEq;
-        FluidNetwork probeNet(probeEq);
-        haveParallel = probeNet.setParallelWorkers(0);
-    }
-
     using Mode = FluidNetwork::SolverMode;
 
     // fig19-at-256: a real session at the repo's largest single-server
@@ -430,15 +413,10 @@ main(int argc, char **argv)
     const char *sessName = smoke ? "fig19_at_64" : "fig19_at_256";
 
     std::vector<CaseResult> results;
-    results.push_back(runSession(sessName, accs, Mode::GlobalResolve,
-                                 false, warmup, measure, reps));
-    results.push_back(runSession(sessName, accs, Mode::FullResolve, false,
-                                 warmup, measure, reps));
-    results.push_back(runSession(sessName, accs, Mode::Incremental, false,
-                                 warmup, measure, reps));
-    if (haveParallel)
-        results.push_back(runSession(sessName, accs, Mode::Incremental,
-                                     true, warmup, measure, reps));
+    for (Mode mode :
+         {Mode::GlobalResolve, Mode::FullResolve, Mode::Incremental})
+        results.push_back(
+            runSession(sessName, accs, mode, warmup, measure, reps));
     for (std::size_t i = 1; i < results.size(); ++i)
         results[i].speedupVsGlobal =
             results[0].eventsPerSec > 0.0
@@ -470,11 +448,11 @@ main(int argc, char **argv)
     const std::uint64_t fullEvents = smoke ? 600 : 2000;
     const std::uint64_t incEvents = smoke ? 4000 : 20000;
 
-    const CaseResult fleetGlobal = runFleet(
-        fleetName, jobs, globalEvents, Mode::GlobalResolve, false);
+    const CaseResult fleetGlobal =
+        runFleet(fleetName, jobs, globalEvents, Mode::GlobalResolve);
     results.push_back(fleetGlobal);
-    auto addFleet = [&](std::uint64_t budget, Mode mode, bool parallel) {
-        CaseResult r = runFleet(fleetName, jobs, budget, mode, parallel);
+    auto addFleet = [&](std::uint64_t budget, Mode mode) {
+        CaseResult r = runFleet(fleetName, jobs, budget, mode);
         r.speedupVsGlobal = fleetGlobal.eventsPerSec > 0.0
                                 ? r.eventsPerSec /
                                       fleetGlobal.eventsPerSec
@@ -482,11 +460,8 @@ main(int argc, char **argv)
         results.push_back(r);
         return r;
     };
-    addFleet(fullEvents, Mode::FullResolve, false);
-    const CaseResult fleetInc =
-        addFleet(incEvents, Mode::Incremental, false);
-    if (haveParallel)
-        addFleet(incEvents, Mode::Incremental, true);
+    addFleet(fullEvents, Mode::FullResolve);
+    const CaseResult fleetInc = addFleet(incEvents, Mode::Incremental);
 
     // fleet_sessions: the real multi-job fleet (trainbox/fleet.hh) end
     // to end — co-resident full sessions on one shared core, run to
@@ -497,24 +472,20 @@ main(int argc, char **argv)
     const std::size_t fsWarmup = smoke ? 1 : 2;
     const std::size_t fsMeasure = smoke ? 2 : 4;
     const CaseResult fsGlobal = runFleetSessions(
-        fsName, fleetJobs, Mode::GlobalResolve, false, fsWarmup,
-        fsMeasure);
+        fsName, fleetJobs, Mode::GlobalResolve, fsWarmup, fsMeasure);
     results.push_back(fsGlobal);
-    auto addFleetSessions = [&](Mode mode, bool parallel) {
-        CaseResult r = runFleetSessions(fsName, fleetJobs, mode, parallel,
-                                        fsWarmup, fsMeasure);
+    auto addFleetSessions = [&](Mode mode) {
+        CaseResult r = runFleetSessions(fsName, fleetJobs, mode, fsWarmup,
+                                        fsMeasure);
         r.speedupVsGlobal =
             fsGlobal.eventsPerSec > 0.0
                 ? r.eventsPerSec / fsGlobal.eventsPerSec
                 : 0.0;
         results.push_back(r);
     };
-    addFleetSessions(Mode::FullResolve, false);
-    addFleetSessions(Mode::Incremental, false);
-    if (haveParallel)
-        addFleetSessions(Mode::Incremental, true);
-    for (std::size_t i = results.size() - (haveParallel ? 3 : 2);
-         i < results.size(); ++i) {
+    addFleetSessions(Mode::FullResolve);
+    addFleetSessions(Mode::Incremental);
+    for (std::size_t i = results.size() - 2; i < results.size(); ++i) {
         if (results[i].metric != fsGlobal.metric) {
             std::fprintf(stderr,
                          "sim_perf: BIT-IDENTITY VIOLATION: %s/%s "

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <limits>
-#include <mutex>
 
 #include "common/logging.hh"
 #include "sim/metrics.hh"
@@ -13,6 +11,20 @@ namespace tb {
 
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
+
+bool
+byId(const FluidFlow *a, const FluidFlow *b)
+{
+    return a->id < b->id;
+}
+
+/** Completion-heap order: projected finish, then id. */
+bool
+finishesFirst(const FluidFlow *a, const FluidFlow *b)
+{
+    return a->finish < b->finish ||
+           (a->finish == b->finish && a->id < b->id);
+}
 } // namespace
 
 FluidResource::FluidResource(std::string name, Rate capacity)
@@ -35,11 +47,92 @@ FluidResource::setCapacity(Rate capacity)
     capacity_ = capacity;
 }
 
+Time
+FluidResource::settledNow() const
+{
+    if (net_ == nullptr)
+        return accounted_;
+    net_->settle();
+    return net_->eq_.now();
+}
+
+void
+FluidResource::integrate(Time now)
+{
+    const double dt = now - accounted_;
+    if (dt <= 0.0)
+        return;
+    accounted_ = now;
+    if (load_ <= 0.0)
+        return;
+    for (Account &a : accounts_)
+        a.served += a.load * dt;
+    totalServed_ += load_ * dt;
+}
+
+std::uint32_t
+FluidResource::account(std::uint32_t category)
+{
+    auto it = std::find_if(accounts_.begin(), accounts_.end(),
+                           [&](const Account &a) {
+                               return a.category == category;
+                           });
+    if (it != accounts_.end())
+        return static_cast<std::uint32_t>(it - accounts_.begin());
+    accounts_.push_back({category, 0.0, 0.0});
+    return static_cast<std::uint32_t>(accounts_.size() - 1);
+}
+
+void
+FluidResource::settleLoad(Time now)
+{
+    loadStale_ = false;
+    // Loads move by deltas; an idle resource returns to exactly zero,
+    // and rounding never leaves a negative load.
+    const double cap = members_.empty() ? 0.0 : kInf;
+    for (Account &a : accounts_)
+        a.load = std::clamp(a.load, 0.0, cap);
+    load_ = std::clamp(load_, 0.0, cap);
+    if (utilHist_) {
+        recordUtilization(now);
+        util_ = capacity_ > 0.0 ? std::min(1.0, load_ / capacity_) : 0.0;
+    }
+}
+
+void
+FluidResource::recordUtilization(Time now) const
+{
+    if (now > utilRecorded_)
+        utilHist_->record(util_, now - utilRecorded_);
+    utilRecorded_ = now;
+}
+
+double
+FluidResource::totalServed() const
+{
+    const Time now = settledNow();
+    return totalServed_ + load_ * (now - accounted_);
+}
+
+std::map<std::string, double>
+FluidResource::servedByCategory() const
+{
+    const Time now = settledNow();
+    std::map<std::string, double> out;
+    for (const Account &a : accounts_) {
+        const double served = a.served + a.load * (now - accounted_);
+        if (served > 0.0)
+            out[net_->categoryNames_[a.category]] = served;
+    }
+    return out;
+}
+
 double
 FluidResource::served(const std::string &category) const
 {
-    auto it = served_.find(category);
-    return it == served_.end() ? 0.0 : it->second;
+    const auto byCategory = servedByCategory();
+    auto it = byCategory.find(category);
+    return it == byCategory.end() ? 0.0 : it->second;
 }
 
 double
@@ -48,15 +141,27 @@ FluidResource::utilization(Time now) const
     const double window = now - windowStart_;
     if (window <= 0.0 || capacity_ <= 0.0)
         return 0.0;
-    return totalServed_ / (capacity_ * window);
+    settledNow();
+    const double served = totalServed_ + load_ * (now - accounted_);
+    return served / (capacity_ * window);
 }
 
 void
 FluidResource::resetAccounting(Time now)
 {
     totalServed_ = 0.0;
-    served_.clear();
+    for (Account &a : accounts_)
+        a.served = 0.0;
+    accounted_ = now;
     windowStart_ = now;
+}
+
+const TimeWeightedHistogram *
+FluidResource::utilizationHistory() const
+{
+    if (utilHist_)
+        recordUtilization(settledNow());
+    return utilHist_;
 }
 
 void
@@ -85,16 +190,7 @@ DemandSet::build() const
     return out;
 }
 
-FluidNetwork::FluidNetwork(EventQueue &eq) : eq_(eq)
-{
-#ifdef TB_PARALLEL_SOLVER
-    if (const char *env = std::getenv("TB_PARALLEL_SOLVER")) {
-        const int workers = std::atoi(env);
-        if (workers > 1)
-            setParallelWorkers(static_cast<unsigned>(workers));
-    }
-#endif
-}
+FluidNetwork::FluidNetwork(EventQueue &eq) : eq_(eq) {}
 
 FluidNetwork::~FluidNetwork()
 {
@@ -108,6 +204,7 @@ FluidNetwork::addResource(const std::string &name, Rate capacity)
         std::make_unique<FluidResource>(namePrefix_ + name, capacity));
     FluidResource *r = resources_.back().get();
     r->index_ = resources_.size() - 1;
+    r->net_ = this;
     if (metrics_)
         instrumentResource(r);
     return r;
@@ -118,6 +215,7 @@ FluidNetwork::instrumentResource(FluidResource *r)
 {
     r->utilHist_ = metrics_->histogram(
         "util." + r->name(), "time-weighted utilization of " + r->name());
+    r->utilRecorded_ = eq_.now();
 }
 
 void
@@ -141,8 +239,21 @@ FluidNetwork::attachMetrics(MetricsRegistry *metrics)
 void
 FluidNetwork::flushMetrics()
 {
-    if (metrics_)
-        advanceTo(eq_.now());
+    if (!metrics_)
+        return;
+    settle();
+    for (auto &r : resources_)
+        r->recordUtilization(eq_.now());
+}
+
+std::uint32_t
+FluidNetwork::internCategory(const std::string &category)
+{
+    auto [it, added] = categoryIds_.try_emplace(
+        category, static_cast<std::uint32_t>(categoryNames_.size()));
+    if (added)
+        categoryNames_.push_back(category);
+    return it->second;
 }
 
 FluidResource *
@@ -154,40 +265,27 @@ FluidNetwork::findResource(const std::string &name) const
     return nullptr;
 }
 
-bool
-FluidNetwork::setParallelWorkers(unsigned workers, std::size_t minFlows)
-{
-#ifdef TB_PARALLEL_SOLVER
-    if (workers < 2) {
-        pool_.reset();
-        return true;
-    }
-    pool_ = std::make_unique<ParallelFor>(workers);
-    parallelMinFlows_ = std::max<std::size_t>(1, minFlows);
-    return true;
-#else
-    (void)workers;
-    (void)minFlows;
-    return false;
-#endif
-}
-
 void
 FluidNetwork::addMembership(FluidFlow &flow)
 {
     flow.memberSlot.resize(flow.demands.size());
+    flow.accountSlot.resize(flow.demands.size());
     for (std::size_t i = 0; i < flow.demands.size(); ++i) {
         FluidResource *r = flow.demands[i].resource;
+        flow.accountSlot[i] = r->account(flow.category);
         flow.memberSlot[i] = static_cast<std::uint32_t>(r->members_.size());
         r->members_.emplace_back(&flow, static_cast<std::uint32_t>(i));
     }
 }
 
 void
-FluidNetwork::removeMembership(FluidFlow &flow)
+FluidNetwork::detach(FluidFlow &flow)
 {
+    settle(flow.unsettled);
+    shiftLoad(flow, 0.0, eq_.now());
     for (std::size_t i = 0; i < flow.demands.size(); ++i) {
         FluidResource *r = flow.demands[i].resource;
+        markDirty(r);
         auto &vec = r->members_;
         const std::uint32_t slot = flow.memberSlot[i];
         vec[slot] = vec.back();
@@ -214,21 +312,22 @@ FluidNetwork::startFlow(FlowSpec spec)
                  d.weight, d.resource->name().c_str());
     }
 
-    advanceTo(eq_.now());
-
+    const Time now = eq_.now();
     const FlowId id = nextId_++;
     FluidFlow flow;
     flow.id = id;
-    flow.category = std::move(spec.category);
+    flow.category = internCategory(spec.category);
     flow.remaining = spec.size;
+    flow.anchor = now;
+    flow.finish = spec.size > 0.0 ? kInf : now;
     flow.rateCap = spec.rateCap;
     flow.fairWeight = spec.fairWeight;
     flow.demands = std::move(spec.demands);
     flow.onComplete = std::move(spec.onComplete);
-    auto it = flows_.emplace(id, std::move(flow)).first;
-    addMembership(it->second);
-    markFlowDirty(it->second);
-    flowArrayStale_ = true;
+    FluidFlow &f = flows_.emplace(id, std::move(flow)).first->second;
+    addMembership(f);
+    markFlowDirty(f);
+    heapPush(&f);
 
     if (flowsStartedCtr_) {
         flowsStartedCtr_->inc();
@@ -242,14 +341,11 @@ FluidNetwork::startFlow(FlowSpec spec)
 void
 FluidNetwork::cancelFlow(FlowId id)
 {
-    advanceTo(eq_.now());
     auto it = flows_.find(id);
     if (it != flows_.end()) {
-        removeMembership(it->second);
-        for (const auto &d : it->second.demands)
-            markDirty(d.resource);
+        heapRemove(&it->second);
+        detach(it->second);
         flows_.erase(it);
-        flowArrayStale_ = true;
         if (flowsCancelledCtr_) {
             flowsCancelledCtr_->inc();
             activeFlowsGauge_->set(static_cast<double>(flows_.size()));
@@ -271,17 +367,19 @@ FluidNetwork::flowRemaining(FlowId id) const
     auto it = flows_.find(id);
     if (it == flows_.end())
         return 0.0;
-    // Account for progress since the last advance without mutating state.
-    const double dt = eq_.now() - lastAdvance_;
-    return std::max(0.0, it->second.remaining - it->second.rate * dt);
+    const FluidFlow &flow = it->second;
+    return std::max(0.0, flow.remaining -
+                             flow.rate * (eq_.now() - flow.anchor));
 }
 
 void
 FluidNetwork::capacityChanged()
 {
-    advanceTo(eq_.now());
-    for (auto &r : resources_)
+    settle();
+    for (auto &r : resources_) {
         markDirty(r.get());
+        touch(r.get(), eq_.now());
+    }
     afterMutation();
 }
 
@@ -289,8 +387,9 @@ void
 FluidNetwork::capacityChanged(FluidResource *resource)
 {
     panic_if(resource == nullptr, "capacityChanged(null resource)");
-    advanceTo(eq_.now());
+    settle();
     markDirty(resource);
+    touch(resource, eq_.now());
     afterMutation();
 }
 
@@ -306,132 +405,81 @@ FluidNetwork::resetAccounting(std::size_t begin, std::size_t end)
     panic_if(begin > end || end > resources_.size(),
              "resetAccounting range [%zu, %zu) out of bounds (%zu resources)",
              begin, end, resources_.size());
-    advanceTo(eq_.now());
+    settle();
     for (std::size_t i = begin; i < end; ++i) {
         auto &r = resources_[i];
         r->resetAccounting(eq_.now());
-        if (r->utilHist_)
+        if (r->utilHist_) {
             r->utilHist_->reset();
-    }
-}
-
-void
-FluidNetwork::advanceTo(Time now)
-{
-    const double dt = now - lastAdvance_;
-    panic_if(dt < -1e-12, "fluid network advancing backwards (%g)", dt);
-    lastAdvance_ = now;
-    if (dt <= 0.0)
-        return;
-    if (parallelActive()) {
-        advanceParallel(dt);
-        return;
-    }
-    for (auto &[id, flow] : flows_) {
-        if (metrics_) {
-            // The rates held for all of [lastAdvance_, now]: charge one
-            // exact time-weighted utilization sample per resource.
-            for (const auto &d : flow.demands)
-                d.resource->loadScratch_ += d.weight * flow.rate;
-        }
-        const double served = std::min(flow.remaining, flow.rate * dt);
-        if (served > 0.0) {
-            flow.remaining -= served;
-            for (const auto &d : flow.demands)
-                d.resource->account(flow.category, d.weight * served);
-            // A flow that drained to zero frees its share: its component
-            // must re-solve, exactly as a full re-solve would freeze it.
-            if (flow.remaining <= 0.0)
-                markFlowDirty(flow);
+            r->utilRecorded_ = eq_.now();
         }
     }
-    if (metrics_) {
-        for (auto &r : resources_) {
-            const double util =
-                std::min(1.0, r->loadScratch_ / r->capacity());
-            r->loadScratch_ = 0.0;
-            if (r->utilHist_)
-                r->utilHist_->record(util, dt);
-        }
-    }
-}
-
-void
-FluidNetwork::advanceParallel(double dt)
-{
-    rebuildFlowArray();
-    // Phase 1 (parallel): per-flow arithmetic only — each flow's served
-    // amount and remaining size are independent of every other flow.
-    pool_->run(flowArray_.size(), [&](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-            FluidFlow &flow = *flowArray_[i];
-            const double served = std::min(flow.remaining, flow.rate * dt);
-            flow.servedScratch = served;
-            if (served > 0.0) {
-                flow.remaining -= served;
-                flow.drainedScratch = flow.remaining <= 0.0;
-            } else {
-                flow.drainedScratch = false;
-            }
-        }
-    });
-    // Phase 2 (serial, flow-id order): shared-state accumulation. The
-    // additions land in exactly the order the serial path uses, so the
-    // accounting sums are bit-identical.
-    for (FluidFlow *fp : flowArray_) {
-        FluidFlow &flow = *fp;
-        if (metrics_) {
-            for (const auto &d : flow.demands)
-                d.resource->loadScratch_ += d.weight * flow.rate;
-        }
-        if (flow.servedScratch > 0.0) {
-            for (const auto &d : flow.demands)
-                d.resource->account(flow.category,
-                                    d.weight * flow.servedScratch);
-            if (flow.drainedScratch)
-                markFlowDirty(flow);
-        }
-    }
-    if (metrics_) {
-        for (auto &r : resources_) {
-            const double util =
-                std::min(1.0, r->loadScratch_ / r->capacity());
-            r->loadScratch_ = 0.0;
-            if (r->utilHist_)
-                r->utilHist_->record(util, dt);
-        }
-    }
-}
-
-void
-FluidNetwork::rebuildFlowArray()
-{
-    if (!flowArrayStale_)
-        return;
-    flowArray_.clear();
-    flowArray_.reserve(flows_.size());
-    for (auto &[id, flow] : flows_)
-        flowArray_.push_back(&flow);
-    flowArrayStale_ = false;
 }
 
 void
 FluidNetwork::afterMutation()
 {
-    if (batchDepth_ > 0)
-        return;
-    solveDirty();
-    scheduleCompletion();
+    if (batchDepth_ == 0)
+        commit();
 }
 
 void
 FluidNetwork::endBatch()
 {
     panic_if(batchDepth_ == 0, "endBatch without beginBatch");
-    if (--batchDepth_ == 0) {
-        solveDirty();
-        scheduleCompletion();
+    if (--batchDepth_ == 0)
+        commit();
+}
+
+void
+FluidNetwork::commit()
+{
+    solveDirty();
+    settleLoads(eq_.now());
+    scheduleCompletion();
+}
+
+void
+FluidNetwork::settle(bool force) const
+{
+    if (unsettled_.empty() || (!force && unsettledAt_ >= eq_.now()))
+        return;
+    for (FluidFlow *flow : unsettled_) {
+        flow->unsettled = false;
+        shiftLoad(*flow, flow->rate, unsettledAt_);
     }
+    unsettled_.clear();
+    settleLoads(unsettledAt_);
+}
+
+void
+FluidNetwork::settleLoads(Time at) const
+{
+    for (FluidResource *r : staleLoads_)
+        r->settleLoad(at);
+    staleLoads_.clear();
+}
+
+void
+FluidNetwork::reanchor(FluidFlow &flow, double rate)
+{
+    const Time now = eq_.now();
+    settle();
+    flow.remaining =
+        std::max(0.0, flow.remaining - flow.rate * (now - flow.anchor));
+    flow.anchor = now;
+    flow.rate = rate;
+    if (!flow.unsettled) {
+        flow.unsettled = true;
+        unsettled_.push_back(&flow);
+    }
+    unsettledAt_ = now;
+    if (flow.remaining <= 0.0)
+        flow.finish = now;
+    else
+        flow.finish = rate > 0.0 ? now + flow.remaining / rate : kInf;
+    heapUpdate(&flow);
+    ++stats_.flowsReanchored;
 }
 
 void
@@ -449,6 +497,9 @@ FluidNetwork::solveDirty()
         ++stats_.componentsSolved;
         stats_.flowsSolved += flows_.size();
         solveGlobal();
+        for (auto &[id, flow] : flows_)
+            if (flow.fill != flow.rate)
+                reanchor(flow, flow.fill);
         return;
     }
 
@@ -513,10 +564,7 @@ FluidNetwork::solveDirty()
         }
         if (affected_.empty())
             return;
-        std::sort(affected_.begin(), affected_.end(),
-                  [](const FluidFlow *a, const FluidFlow *b) {
-                      return a->id < b->id;
-                  });
+        std::sort(affected_.begin(), affected_.end(), byId);
     }
 
     ++stats_.solves;
@@ -548,10 +596,7 @@ FluidNetwork::solveDirty()
                 }
             }
         }
-        std::sort(compFlows_.begin(), compFlows_.end(),
-                  [](const FluidFlow *a, const FluidFlow *b) {
-                      return a->id < b->id;
-                  });
+        std::sort(compFlows_.begin(), compFlows_.end(), byId);
         std::sort(compRes_.begin(), compRes_.end(),
                   [](const FluidResource *a, const FluidResource *b) {
                       return a->index_ < b->index_;
@@ -559,6 +604,11 @@ FluidNetwork::solveDirty()
         solveComponent();
         ++stats_.componentsSolved;
         stats_.flowsSolved += compFlows_.size();
+        // Only flows whose rate moved are brought up to date, so which
+        // clean components a pass happens to visit never shows.
+        for (FluidFlow *flow : compFlows_)
+            if (flow->fill != flow->rate)
+                reanchor(*flow, flow->fill);
     }
 }
 
@@ -578,8 +628,8 @@ FluidNetwork::solveComponent()
 
     std::size_t unfrozen = 0;
     for (FluidFlow *flow : compFlows_) {
-        flow->rate = 0.0;
-        flow->frozen = flow->remaining <= 0.0;
+        flow->fill = 0.0;
+        flow->frozen = flow->remaining <= 0.0; // drained at its anchor
         if (!flow->frozen)
             ++unfrozen;
     }
@@ -604,7 +654,7 @@ FluidNetwork::solveComponent()
         for (FluidFlow *flow : compFlows_) {
             if (flow->frozen || flow->rateCap <= 0.0)
                 continue;
-            step = std::min(step, (flow->rateCap - flow->rate) /
+            step = std::min(step, (flow->rateCap - flow->fill) /
                                       flow->fairWeight);
         }
         panic_if(std::isinf(step),
@@ -613,7 +663,7 @@ FluidNetwork::solveComponent()
         for (FluidFlow *flow : compFlows_) {
             if (flow->frozen)
                 continue;
-            flow->rate += step * flow->fairWeight;
+            flow->fill += step * flow->fairWeight;
             for (const auto &d : flow->demands)
                 d.resource->allocScratch_ -=
                     d.weight * flow->fairWeight * step;
@@ -624,7 +674,7 @@ FluidNetwork::solveComponent()
             if (flow->frozen)
                 continue;
             if (flow->rateCap > 0.0 &&
-                flow->rate >= flow->rateCap * (1.0 - 1e-12)) {
+                flow->fill >= flow->rateCap * (1.0 - 1e-12)) {
                 flow->frozen = true;
                 --unfrozen;
             }
@@ -664,7 +714,7 @@ FluidNetwork::solveGlobal()
 
     std::size_t unfrozen = 0;
     for (auto &[id, flow] : flows_) {
-        flow.rate = 0.0;
+        flow.fill = 0.0;
         flow.frozen = flow.remaining <= 0.0;
         if (!flow.frozen)
             ++unfrozen;
@@ -690,7 +740,7 @@ FluidNetwork::solveGlobal()
         for (auto &[id, flow] : flows_) {
             if (flow.frozen || flow.rateCap <= 0.0)
                 continue;
-            step = std::min(step, (flow.rateCap - flow.rate) /
+            step = std::min(step, (flow.rateCap - flow.fill) /
                                       flow.fairWeight);
         }
         panic_if(std::isinf(step),
@@ -699,7 +749,7 @@ FluidNetwork::solveGlobal()
         for (auto &[id, flow] : flows_) {
             if (flow.frozen)
                 continue;
-            flow.rate += step * flow.fairWeight;
+            flow.fill += step * flow.fairWeight;
             for (const auto &d : flow.demands)
                 d.resource->allocScratch_ -=
                     d.weight * flow.fairWeight * step;
@@ -709,7 +759,7 @@ FluidNetwork::solveGlobal()
             if (flow.frozen)
                 continue;
             if (flow.rateCap > 0.0 &&
-                flow.rate >= flow.rateCap * (1.0 - 1e-12)) {
+                flow.fill >= flow.rateCap * (1.0 - 1e-12)) {
                 flow.frozen = true;
                 --unfrozen;
             }
@@ -737,66 +787,41 @@ FluidNetwork::solveGlobal()
 void
 FluidNetwork::scheduleCompletion()
 {
-    eq_.cancel(pending_);
-    double earliest = kInf;
-    if (parallelActive()) {
-        rebuildFlowArray();
-        // Per-thread minimum, merged under a mutex: min() is exact (no
-        // rounding), so the merge order cannot change the result.
-        std::mutex mu;
-        pool_->run(flowArray_.size(),
-                   [&](std::size_t begin, std::size_t end) {
-                       double local = kInf;
-                       for (std::size_t i = begin; i < end; ++i) {
-                           const FluidFlow &flow = *flowArray_[i];
-                           if (flow.remaining <= 0.0) {
-                               local = 0.0;
-                               break;
-                           }
-                           if (flow.rate > 0.0)
-                               local = std::min(local,
-                                                flow.remaining / flow.rate);
-                       }
-                       std::lock_guard lock(mu);
-                       earliest = std::min(earliest, local);
-                   });
-    } else {
-        for (const auto &[id, flow] : flows_) {
-            if (flow.remaining <= 0.0) {
-                earliest = 0.0;
-                break;
-            }
-            if (flow.rate > 0.0)
-                earliest = std::min(earliest, flow.remaining / flow.rate);
-        }
-    }
-    if (std::isinf(earliest))
+    // One pending event, at the top of the heap; it moves only when the
+    // top's key does.
+    const Time top = heap_.empty() ? kInf : heap_.front()->finish;
+    if (pending_.valid() && top == pendingAt_)
         return;
-    pending_ = eq_.scheduleIn(earliest, [this] { completeEarliest(); });
+    eq_.cancel(pending_);
+    pendingAt_ = top;
+    if (!std::isinf(top))
+        pending_ = eq_.schedule(std::max(top, eq_.now()),
+                                [this] { completeEarliest(); });
 }
 
 void
 FluidNetwork::completeEarliest()
 {
     pending_.invalidate();
-    advanceTo(eq_.now());
+    const Time now = eq_.now();
+    settle();
 
-    // Collect every flow that has (numerically) finished.
-    std::vector<FluidFlow> done;
-    for (auto it = flows_.begin(); it != flows_.end();) {
-        FluidFlow &flow = it->second;
-        const double eps =
-            1e-9 * std::max(1.0, flow.remaining + flow.rate);
-        if (flow.remaining <= eps) {
-            removeMembership(flow);
-            for (const auto &d : flow.demands)
-                markDirty(d.resource);
-            done.push_back(std::move(flow));
-            it = flows_.erase(it);
-            flowArrayStale_ = true;
-        } else {
-            ++it;
-        }
+    // A flow is finished when its remaining time cannot advance the
+    // clock: at most 1 ns, or one ulp of `now` on a clock that coarse.
+    const double tol = std::max(1e-9, std::nextafter(now, kInf) - now);
+    std::vector<FluidFlow *> done;
+    while (!heap_.empty() && heap_.front()->finish - now <= tol) {
+        done.push_back(heap_.front());
+        heapRemove(heap_.front());
+    }
+    std::sort(done.begin(), done.end(), byId);
+
+    std::vector<std::function<void(Time)>> callbacks;
+    callbacks.reserve(done.size());
+    for (FluidFlow *flow : done) {
+        detach(*flow);
+        callbacks.push_back(std::move(flow->onComplete));
+        flows_.erase(flow->id);
     }
 
     if (flowsCompletedCtr_ && !done.empty()) {
@@ -804,13 +829,79 @@ FluidNetwork::completeEarliest()
         activeFlowsGauge_->set(static_cast<double>(flows_.size()));
     }
 
-    solveDirty();
-    scheduleCompletion();
+    commit();
 
-    const Time now = eq_.now();
-    for (auto &flow : done)
-        if (flow.onComplete)
-            flow.onComplete(now);
+    for (auto &cb : callbacks)
+        if (cb)
+            cb(now);
+}
+
+void
+FluidNetwork::siftUp(std::size_t pos)
+{
+    FluidFlow *flow = heap_[pos];
+    while (pos > 0) {
+        const std::size_t parent = (pos - 1) / 2;
+        if (!finishesFirst(flow, heap_[parent]))
+            break;
+        heap_[pos] = heap_[parent];
+        heap_[pos]->heapPos = pos;
+        pos = parent;
+    }
+    heap_[pos] = flow;
+    flow->heapPos = pos;
+}
+
+void
+FluidNetwork::siftDown(std::size_t pos)
+{
+    FluidFlow *flow = heap_[pos];
+    const std::size_t n = heap_.size();
+    for (;;) {
+        std::size_t child = 2 * pos + 1;
+        if (child >= n)
+            break;
+        if (child + 1 < n && finishesFirst(heap_[child + 1], heap_[child]))
+            ++child;
+        if (!finishesFirst(heap_[child], flow))
+            break;
+        heap_[pos] = heap_[child];
+        heap_[pos]->heapPos = pos;
+        pos = child;
+    }
+    heap_[pos] = flow;
+    flow->heapPos = pos;
+}
+
+void
+FluidNetwork::heapPush(FluidFlow *flow)
+{
+    flow->heapPos = heap_.size();
+    heap_.push_back(flow);
+    heapUpdate(flow);
+}
+
+void
+FluidNetwork::heapUpdate(FluidFlow *flow)
+{
+    siftUp(flow->heapPos);
+    siftDown(flow->heapPos);
+    ++stats_.heapOps;
+}
+
+void
+FluidNetwork::heapRemove(FluidFlow *flow)
+{
+    const std::size_t pos = flow->heapPos;
+    FluidFlow *last = heap_.back();
+    heap_.pop_back();
+    if (last != flow) {
+        heap_[pos] = last;
+        last->heapPos = pos;
+        siftUp(pos);
+        siftDown(last->heapPos);
+    }
+    ++stats_.heapOps;
 }
 
 } // namespace tb

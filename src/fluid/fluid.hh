@@ -15,8 +15,11 @@
  * progressive filling (weighted max-min fairness with optional per-flow
  * rate caps — a prep task cannot exceed its parallelism, a device port
  * cannot exceed its line rate). Rates are piecewise constant between flow
- * arrivals/departures; the engine advances remaining sizes lazily and keeps
- * exactly one completion event pending in the EventQueue.
+ * arrivals/departures, so flow state is lazy: each flow keeps its remaining
+ * size at an anchor time plus its rate, and is re-anchored only when it
+ * completes or a re-solve changes its rate. Projected finish times live in
+ * an indexed min-heap, and exactly one completion event — at the heap's
+ * top — is pending in the EventQueue.
  *
  * The solver is *incremental*: progressive filling is run per connected
  * component of the flow/resource sharing graph, and a mutation (flow
@@ -29,7 +32,9 @@
  *
  * The engine also performs per-category accounting on every resource
  * (bytes moved for "data_load" vs "formatting" vs ...), which is what the
- * host-resource figures of the paper (Figs 10/11/22) are built from.
+ * host-resource figures of the paper (Figs 10/11/22) are built from. Each
+ * resource holds one aggregate load per category, integrated whenever that
+ * load changes and up to the current time when read.
  */
 
 #ifndef TRAINBOX_FLUID_FLUID_HH
@@ -40,14 +45,15 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "common/parallel_for.hh"
 #include "sim/event_queue.hh"
 
 namespace tb {
 
+class FluidNetwork;
 class MetricsRegistry;
 class MetricCounter;
 class MetricGauge;
@@ -73,13 +79,10 @@ class FluidResource
     void setCapacity(Rate capacity);
 
     /** Total units served through this resource so far. */
-    double totalServed() const { return totalServed_; }
+    double totalServed() const;
 
-    /** Units served per accounting category. */
-    const std::map<std::string, double> &servedByCategory() const
-    {
-        return served_;
-    }
+    /** Units served per accounting category (categories served > 0). */
+    std::map<std::string, double> servedByCategory() const;
 
     /** Served units for one category (0 when absent). */
     double served(const std::string &category) const;
@@ -95,28 +98,45 @@ class FluidResource
 
     /**
      * Time-weighted utilization history recorded by the network's
-     * metrics instrumentation (nullptr when metrics are disabled).
+     * metrics instrumentation, brought up to the current time (nullptr
+     * when metrics are disabled).
      */
-    const TimeWeightedHistogram *utilizationHistory() const
-    {
-        return utilHist_;
-    }
+    const TimeWeightedHistogram *utilizationHistory() const;
 
   private:
     friend class FluidNetwork;
 
-    void
-    account(const std::string &category, double units)
+    /** Served units and current load (units/s) of one category. */
+    struct Account
     {
-        totalServed_ += units;
-        served_[category] += units;
-    }
+        std::uint32_t category;
+        double load;
+        double served;
+    };
+
+    /** Settle the network's pending loads; the time reads integrate to. */
+    Time settledNow() const;
+    /** Charge the current loads over [accounted_, now]. */
+    void integrate(Time now);
+    /** Index of @p category's entry in accounts_ (added if absent). */
+    std::uint32_t account(std::uint32_t category);
+    /** Finish a mutation's load changes at @p now. */
+    void settleLoad(Time now);
+    /** Extend the utilization history up to @p now. */
+    void recordUtilization(Time now) const;
 
     std::string name_;
     Rate capacity_;
+    const FluidNetwork *net_ = nullptr;
+
+    // accounting: served units are exact up to accounted_, and grow at
+    // the aggregate loads after it
+    std::vector<Account> accounts_;
+    double load_ = 0.0;
     double totalServed_ = 0.0;
-    std::map<std::string, double> served_;
+    Time accounted_ = 0.0;
     Time windowStart_ = 0.0;
+    bool loadStale_ = false; ///< queued for settleLoad
 
     // scratch space for the allocator
     double allocScratch_ = 0.0;
@@ -130,8 +150,9 @@ class FluidResource
     std::vector<std::pair<FluidFlow *, std::uint32_t>> members_;
 
     // metrics instrumentation (inert while metrics are disabled)
-    double loadScratch_ = 0.0;
     TimeWeightedHistogram *utilHist_ = nullptr;
+    mutable Time utilRecorded_ = 0.0; ///< history covers up to here
+    double util_ = 0.0;               ///< utilization since then
 };
 
 /** One resource consumed by a flow: @p weight units per base unit. */
@@ -180,22 +201,28 @@ struct FlowSpec
 struct FluidFlow
 {
     FlowId id;
-    std::string category;
-    double remaining;
+    std::uint32_t category; ///< interned accounting category
+    double remaining;       ///< base units left at `anchor`
+    Time anchor;
+    double rate = 0.0;
+    Time finish;            ///< projected completion (heap key)
+    double loadRate = 0.0;  ///< rate its resources' loads carry
+    bool unsettled = false; ///< queued until loads catch up with rate
     double rateCap;
     double fairWeight;
     std::vector<FlowDemand> demands;
     std::function<void(Time)> onComplete;
-    double rate = 0.0;
-    bool frozen = false; ///< allocator scratch
+
+    // allocator scratch
+    double fill = 0.0;
+    bool frozen = false;
 
     /** Slot of demand i in demands[i].resource->members_. */
     std::vector<std::uint32_t> memberSlot;
+    /** Slot of demand i's category in demands[i].resource->accounts_. */
+    std::vector<std::uint32_t> accountSlot;
     std::uint64_t mark = 0; ///< BFS visit epoch (gather + components)
-
-    // parallel-advance scratch (written in phase 1, read in phase 2)
-    double servedScratch = 0.0;
-    bool drainedScratch = false;
+    std::size_t heapPos = 0; ///< index in the completion heap
 };
 
 /**
@@ -260,6 +287,10 @@ class FluidNetwork
         std::uint64_t fullSolves = 0; ///< passes forced by FullResolve
         std::uint64_t componentsSolved = 0;
         std::uint64_t flowsSolved = 0; ///< sum of solved component sizes
+        /** Flows brought up to date because a re-solve moved their rate. */
+        std::uint64_t flowsReanchored = 0;
+        /** Completion-heap pushes, key updates and removals. */
+        std::uint64_t heapOps = 0;
     };
 
     /**
@@ -360,26 +391,6 @@ class FluidNetwork
     const SolverStats &solverStats() const { return stats_; }
 
     /**
-     * Enable the parallel per-flow scan (advance + completion scan +
-     * parallel phase of the solve bookkeeping) on @p workers threads.
-     * The parallel path only engages once the network holds at least
-     * @p minFlows flows — below that the fork-join overhead dominates.
-     * Pass workers < 2 to disable. Returns false when the build was
-     * configured without TB_PARALLEL_SOLVER (request ignored). The
-     * TB_PARALLEL_SOLVER environment variable (worker count) enables
-     * this at construction. Results are bit-identical to the serial
-     * path: per-flow arithmetic is unchanged and all reductions /
-     * accounting merges happen in flow-id order (docs/PERFORMANCE.md).
-     */
-    bool setParallelWorkers(unsigned workers, std::size_t minFlows = 512);
-
-    /** Workers the parallel scan would use (1 = serial). */
-    unsigned parallelWorkers() const
-    {
-        return pool_ ? pool_->workers() : 1;
-    }
-
-    /**
      * Reset accounting on all resources (and, when metrics are
      * attached, their utilization histories — the metrics window is
      * the accounting window).
@@ -408,22 +419,20 @@ class FluidNetwork
     void attachMetrics(MetricsRegistry *metrics);
 
     /**
-     * Record utilization up to the current time (also charges per-
-     * category accounting for in-flight flows). No-op when metrics are
-     * not attached, so an uninstrumented run's accounting is
-     * bit-identical with or without the call.
+     * Record utilization histories up to the current time. Accounting
+     * is untouched (it is read lazily), so the call never changes a
+     * result; a no-op when metrics are not attached.
      */
     void flushMetrics();
 
   private:
-    /** Charge elapsed progress to all flows. */
-    void advanceTo(Time now);
-    void advanceParallel(double dt);
+    friend class FluidResource;
 
-    /** Solve + reschedule, unless inside a FlowBatch. */
+    /** Solve, update loads and the completion event, unless batched. */
     void afterMutation();
     void beginBatch() { ++batchDepth_; }
     void endBatch();
+    void commit();
 
     /** Re-solve the components reachable from the dirty set. */
     void solveDirty();
@@ -436,9 +445,62 @@ class FluidNetwork
     void completeEarliest();
     void instrumentResource(FluidResource *r);
 
-    /** Register/unregister a flow in its resources' member lists. */
+    std::uint32_t internCategory(const std::string &category);
+
+    /** Bring @p flow up to date at now and give it @p rate. */
+    void reanchor(FluidFlow &flow, double rate);
+
+    /**
+     * Carry the rates changed at unsettledAt_ into their resources'
+     * loads, once the clock has moved past that time (always when
+     * @p force). Rates change several times per timestamp in a busy
+     * component; loads only need the last value. Logically const:
+     * reads call it.
+     */
+    void settle(bool force = false) const;
+
+    /** Integrate @p r's loads up to @p at; settleLoads() finishes them. */
+    void
+    touch(FluidResource *r, Time at) const
+    {
+        if (!r->loadStale_) {
+            r->loadStale_ = true;
+            r->integrate(at);
+            staleLoads_.push_back(r);
+        }
+    }
+
+    /** Move @p flow's share of its resources' loads to @p rate at @p at. */
+    void
+    shiftLoad(FluidFlow &flow, double rate, Time at) const
+    {
+        for (std::size_t i = 0; i < flow.demands.size(); ++i) {
+            const FlowDemand &d = flow.demands[i];
+            const double delta = d.weight * rate - d.weight * flow.loadRate;
+            touch(d.resource, at);
+            d.resource->accounts_[flow.accountSlot[i]].load += delta;
+            d.resource->load_ += delta;
+        }
+        flow.loadRate = rate;
+    }
+
+    /** Finish the loads of every touched resource at @p at. */
+    void settleLoads(Time at) const;
+
+    // completion heap, ordered by (finish, id)
+    void heapPush(FluidFlow *flow);
+    void heapUpdate(FluidFlow *flow);
+    void heapRemove(FluidFlow *flow);
+    void siftUp(std::size_t pos);
+    void siftDown(std::size_t pos);
+
+    /** Register a flow in its resources' member lists. */
     void addMembership(FluidFlow &flow);
-    void removeMembership(FluidFlow &flow);
+    /**
+     * Take a leaving flow out of its resources' loads and member lists,
+     * and mark those resources dirty.
+     */
+    void detach(FluidFlow &flow);
 
     void
     markDirty(FluidResource *r)
@@ -458,21 +520,22 @@ class FluidNetwork
         dirtyFlowIds_.push_back(flow.id);
     }
 
-    bool
-    parallelActive() const
-    {
-        return pool_ != nullptr && flows_.size() >= parallelMinFlows_;
-    }
-
-    void rebuildFlowArray();
-
     EventQueue &eq_;
     std::vector<std::unique_ptr<FluidResource>> resources_;
     std::string namePrefix_;
     std::map<FlowId, FluidFlow> flows_;
     FlowId nextId_ = 1;
-    Time lastAdvance_ = 0.0;
+    std::vector<FluidFlow *> heap_; ///< completion heap
     EventId pending_{};
+    Time pendingAt_ = 0.0; ///< heap key the pending event was set for
+
+    std::unordered_map<std::string, std::uint32_t> categoryIds_;
+    std::vector<std::string> categoryNames_;
+    /** Flows whose rate changed at unsettledAt_ (see settle()). */
+    mutable std::vector<FluidFlow *> unsettled_;
+    Time unsettledAt_ = 0.0;
+    /** Resources whose loads changed and are not yet settled. */
+    mutable std::vector<FluidResource *> staleLoads_;
 
     SolverMode mode_ = SolverMode::Incremental;
     SolverStats stats_;
@@ -495,12 +558,6 @@ class FluidNetwork
     std::vector<FluidResource *> resQueue_;
     std::vector<FluidFlow *> compFlows_;
     std::vector<FluidResource *> compRes_;
-
-    // parallel scan state
-    std::unique_ptr<ParallelFor> pool_;
-    std::size_t parallelMinFlows_ = 512;
-    std::vector<FluidFlow *> flowArray_; ///< flows_ values, id order
-    bool flowArrayStale_ = true;
 
     // metrics instrumentation (all nullptr when metrics are disabled)
     MetricsRegistry *metrics_ = nullptr;

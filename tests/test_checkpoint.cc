@@ -49,15 +49,18 @@ TEST(CheckpointDisabled, PresetThroughputsBitIdentical)
     // existed (ResNet-50, 32 accelerators, run(4, 8), default config).
     // With checkpointing disabled no new resource, flow, or event may
     // perturb the simulation, so these must match to the last bit.
+    // B+Acc and B+Acc+P2P+Gen4 were re-pinned when flow state became
+    // lazy (rounding-only moves of 8.3e-16 and 2.8e-16 relative; see
+    // docs/PERFORMANCE.md, "Guardrails").
     const struct
     {
         ArchPreset preset;
         double throughput;
     } golden[] = {
         { ArchPreset::Baseline, 30412.537359822836 },
-        { ArchPreset::BaselineAccFpga, 44099.421789334992 },
+        { ArchPreset::BaselineAccFpga, 44099.421789335029 },
         { ArchPreset::BaselineAccP2p, 52726.559174010392 },
-        { ArchPreset::BaselineAccP2pGen4, 105706.38456337905 },
+        { ArchPreset::BaselineAccP2pGen4, 105706.38456337902 },
         { ArchPreset::TrainBoxNoPool, 237516.29284407894 },
         { ArchPreset::TrainBox, 237516.29284407894 },
         { ArchPreset::BaselineAccGpu, 31966.593052101314 },

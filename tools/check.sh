@@ -45,9 +45,10 @@ ctest --test-dir "$build_dir" --output-on-failure -j "$(nproc)" "$@"
 # Run instrumented so the envelope/validator code is sanitizer-checked.
 "$build_dir/bench/integrity_sweep" --smoke
 
-# Simulator perf smoke: runs the incremental solver + parallel scan +
-# event-queue batching under the sanitizer (the bit-identity assert and
-# the solver hot path get instrumented coverage). The speedup floor is
+# Simulator perf smoke: runs the incremental solver (lazy flow state,
+# completion heap) + event-queue batching under the sanitizer (the
+# bit-identity assert and the solver hot path get instrumented
+# coverage). The speedup floor is
 # relaxed to 3x — sanitizer instrumentation skews relative costs — and
 # the committed-baseline ratio gate is left to the uninstrumented CI
 # job (docs/PERFORMANCE.md).
@@ -79,7 +80,9 @@ ctest --test-dir "$build_dir" --output-on-failure -j "$(nproc)" "$@"
 
 # Fleet fault-tolerance smoke: disabled-path bit-identity, scripted
 # host-death grant reclamation, and seeded chaos holding every
-# conservation ledger with a byte-identical same-seed replay,
+# conservation ledger with a byte-identical same-seed replay, and a
+# job started one year into the clock completing within an event
+# budget (a completion livelock fails instead of hanging),
 # instrumented so the kill/freeze/retry paths and the pool-ledger
 # panic checks run under the sanitizer (docs/ROBUSTNESS.md, "Fleet
 # fault tolerance").
