@@ -1,50 +1,54 @@
 /**
  * @file
- * Simulator hot-path benchmark: solver events/sec and wall time.
+ * Simulator hot-path benchmark: wall time and solver work per event.
  *
- * Scenarios, each run under every solver configuration (GlobalResolve —
- * the seed's coupled whole-network loop, the baseline — FullResolve and
- * Incremental):
+ * Scenarios, each run under both solver modes (FullResolve, the in-tree
+ * oracle that re-solves every component, and Incremental) with equal
+ * event budgets:
  *
  *  - fig19_at_256: the paper's TrainBox preset at 256 accelerators — a
  *    real end-to-end session, the largest single-server configuration in
- *    the repo. All modes must produce bit-identical session throughput
+ *    the repo. Both modes must produce bit-identical session throughput
  *    (the solver is an optimization, not a model change); the bench
  *    asserts this.
  *
  *  - fleet_10k: a synthetic fleet of disjoint *heterogeneous* jobs
  *    (~10k concurrent flows over 2500 jobs) with continuous churn —
- *    every completion launches a replacement flow. This is the ROADMAP
- *    item-1 shape: the sharing graph decomposes into thousands of small
- *    components with distinct bottleneck steps, which is exactly where
- *    the coupled global loop degrades (O(components) rounds of
- *    O(network) work per event) and the incremental solver wins (it
- *    touches ~one component per event).
+ *    every completion launches a replacement flow. The sharing graph
+ *    decomposes into thousands of small components, and the incremental
+ *    solver touches about one of them per event.
+ *
+ *  - fleet_sessions_12: co-resident full sessions on one shared core.
  *
  *  - eq_churn: EventQueue schedule/cancel/step microbenchmark — the
  *    lazy-tombstone cancel path under load.
  *
- * Output: a table on stdout plus BENCH_sim_perf.json (see --out). The
- * JSON is the repo's perf trajectory artifact: CI re-runs this bench in
- * --smoke mode and compares *normalized* metrics (each mode's
- * events/sec over the global-resolve baseline, measured on the same
- * host in the same run) against the committed baseline, failing on a
- * >20% regression. Absolute events/sec is recorded for trend reading
- * but never gated — it varies with the host.
+ * Output: a table on stdout plus BENCH_sim_perf.json (see --out). Each
+ * row holds the wall time, the events run, µs/event and the solver's
+ * work counters (solves, components solved, flows solved, flows
+ * re-anchored, completion-heap operations), plus the scenario metric.
+ *
+ * The CI gate (--baseline) compares against a committed JSON: every
+ * case and mode must match it exactly on events and the work counters,
+ * and within 4 ulps (EXPECT_DOUBLE_EQ's rule) on the metric. Those do
+ * not depend on the host, and a repeated solve or an O(network) scan
+ * coming back changes them. Wall time is gated only by a generous
+ * absolute bound per case (kMaxCaseSeconds); µs/event is recorded for
+ * trend reading.
  *
  * Flags:
  *   --smoke            small sizes for CI (64 accs, 1k-flow fleet)
  *   --out <path>       JSON output path (default BENCH_sim_perf.json)
- *   --baseline <path>  compare speedups against a committed JSON
- *   --min-speedup <x>  fail unless fleet incremental speedup >= x
- *                      (default 5, the ISSUE acceptance floor)
+ *   --baseline <path>  gate against a committed JSON (exit 3 on a miss)
  */
 
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -75,17 +79,34 @@ struct CaseResult
     std::string mode;
     double wallS = 0.0;
     std::uint64_t events = 0;
-    double eventsPerSec = 0.0;
-    double speedupVsGlobal = 0.0; ///< 0 on the baseline row itself
-    double metric = 0.0;          ///< scenario metric (throughput, ...)
+    FluidNetwork::SolverStats work; ///< solver work over the case
+    double metric = 0.0;            ///< scenario metric (throughput, ...)
+
+    double
+    usPerEvent() const
+    {
+        return events > 0 ? 1e6 * wallS / static_cast<double>(events)
+                          : 0.0;
+    }
+
+    void
+    addWork(const FluidNetwork::SolverStats &before,
+            const FluidNetwork::SolverStats &after)
+    {
+        work.solves += after.solves - before.solves;
+        work.componentsSolved +=
+            after.componentsSolved - before.componentsSolved;
+        work.flowsSolved += after.flowsSolved - before.flowsSolved;
+        work.flowsReanchored +=
+            after.flowsReanchored - before.flowsReanchored;
+        work.heapOps += after.heapOps - before.heapOps;
+    }
 };
 
 const char *
 modeName(FluidNetwork::SolverMode mode)
 {
     switch (mode) {
-    case FluidNetwork::SolverMode::GlobalResolve:
-        return "global_resolve";
     case FluidNetwork::SolverMode::FullResolve:
         return "full_resolve";
     case FluidNetwork::SolverMode::Incremental:
@@ -118,10 +139,9 @@ runSession(const char *caseName, std::size_t accs,
         const SessionReport report = session.runReport(warmup, measure);
         r.wallS += secondsSince(t0);
         r.events += server->core().events().numExecuted();
+        r.addWork({}, server->core().fluid().solverStats());
         r.metric = report.throughput(); // deterministic across reps
     }
-    r.eventsPerSec =
-        r.wallS > 0.0 ? static_cast<double>(r.events) / r.wallS : 0.0;
     return r;
 }
 
@@ -137,8 +157,7 @@ runFleet(const char *caseName, std::size_t jobs,
 
     // Per-job private resources with heterogeneous capacities: the
     // sharing graph is `jobs` disjoint components whose bottleneck
-    // steps all differ, so the coupled global loop pays one freezing
-    // round per job (the fleet-scale shape from ROADMAP item 1).
+    // steps all differ.
     struct Job
     {
         FluidResource *link;
@@ -182,6 +201,7 @@ runFleet(const char *caseName, std::size_t jobs,
 
     // Measure steady-state churn only (setup + initial solve excluded).
     const std::uint64_t startEvents = eq.numExecuted();
+    const FluidNetwork::SolverStats before = net.solverStats();
     const auto t0 = Clock::now();
     while (eq.numExecuted() < startEvents + targetEvents && eq.step()) {
     }
@@ -193,8 +213,7 @@ runFleet(const char *caseName, std::size_t jobs,
     r.mode = modeName(mode);
     r.wallS = wall;
     r.events = events;
-    r.eventsPerSec =
-        wall > 0.0 ? static_cast<double>(events) / wall : 0.0;
+    r.addWork(before, net.solverStats());
     r.metric = static_cast<double>(net.numActive());
     return r;
 }
@@ -235,7 +254,8 @@ runFleetSessions(const char *caseName, std::size_t jobs,
     cfg.solverMode = mode;
 
     const auto t0 = Clock::now();
-    const FleetReport report = runFleet(std::move(cfg));
+    FleetSimulation fleet(std::move(cfg));
+    const FleetReport report = fleet.run();
     const double wall = secondsSince(t0);
 
     CaseResult r;
@@ -243,8 +263,7 @@ runFleetSessions(const char *caseName, std::size_t jobs,
     r.mode = modeName(mode);
     r.wallS = wall;
     r.events = report.eventsExecuted;
-    r.eventsPerSec =
-        wall > 0.0 ? static_cast<double>(r.events) / wall : 0.0;
+    r.addWork({}, fleet.core().fluid().solverStats());
     r.metric = report.aggregateThroughput;
     return r;
 }
@@ -284,12 +303,35 @@ runEqChurn(std::uint64_t ops)
     r.mode = "tombstone";
     r.wallS = wall;
     r.events = ops;
-    r.eventsPerSec = wall > 0.0 ? static_cast<double>(ops) / wall : 0.0;
     r.metric = static_cast<double>(fired);
     return r;
 }
 
-// --- JSON emit / baseline compare ----------------------------------------
+// --- JSON emit / baseline gate -------------------------------------------
+
+/**
+ * Wall-time bound per case under --baseline. It catches gross slowdowns
+ * only; the counters catch repeated work. On a 4-core x86-64 host the
+ * slowest smoke case takes up to 0.26 s plain, 1.6 s under ASan+UBSan
+ * and 3.9 s under TSan, and the slowest full-size case 3.5 s plain.
+ */
+constexpr double kMaxCaseSeconds = 30.0;
+
+/** The gated fields of a row, in JSON key order. */
+std::vector<std::pair<const char *, double>>
+gatedFields(const CaseResult &r)
+{
+    auto n = [](std::uint64_t v) { return static_cast<double>(v); };
+    return {
+        {"events", n(r.events)},
+        {"solves", n(r.work.solves)},
+        {"components_solved", n(r.work.componentsSolved)},
+        {"flows_solved", n(r.work.flowsSolved)},
+        {"flows_reanchored", n(r.work.flowsReanchored)},
+        {"heap_ops", n(r.work.heapOps)},
+        {"metric", r.metric},
+    };
+}
 
 void
 writeJson(const std::string &path, const std::vector<CaseResult> &results,
@@ -302,43 +344,68 @@ writeJson(const std::string &path, const std::vector<CaseResult> &results,
     out << "  \"cases\": [\n";
     for (std::size_t i = 0; i < results.size(); ++i) {
         const CaseResult &r = results[i];
-        char line[512];
-        // One case per line: the baseline comparator below is line-based.
-        std::snprintf(line, sizeof(line),
-                      "    {\"name\": \"%s\", \"mode\": \"%s\", "
-                      "\"wall_s\": %.6f, \"events\": %llu, "
-                      "\"events_per_sec\": %.1f, "
-                      "\"speedup_vs_global\": %.3f, \"metric\": %.6f}%s",
-                      r.name.c_str(), r.mode.c_str(), r.wallS,
-                      static_cast<unsigned long long>(r.events),
-                      r.eventsPerSec, r.speedupVsGlobal, r.metric,
-                      i + 1 < results.size() ? "," : "");
-        out << line << "\n";
+        // One case per line: the baseline gate below is line-based.
+        char buf[128];
+        std::snprintf(buf, sizeof(buf), "\"wall_s\": %.6f, "
+                      "\"us_per_event\": %.3f", r.wallS, r.usPerEvent());
+        out << "    {\"name\": \"" << r.name << "\", \"mode\": \""
+            << r.mode << "\", " << buf;
+        // %.17g round-trips a double, so the gate reads back the value.
+        for (const auto &[key, value] : gatedFields(r)) {
+            std::snprintf(buf, sizeof(buf), ", \"%s\": %.17g", key, value);
+            out << buf;
+        }
+        out << "}" << (i + 1 < results.size() ? "," : "") << "\n";
     }
     out << "  ]\n";
     out << "}\n";
 }
 
-/** Extract `"key": <number>` from a one-case JSON line (-1 if absent). */
+/** Extract `"key": <number>` from a one-case JSON line (NaN if absent). */
 double
 extractNumber(const std::string &line, const std::string &key)
 {
     const std::string needle = "\"" + key + "\": ";
     const auto pos = line.find(needle);
     if (pos == std::string::npos)
-        return -1.0;
-    return std::atof(line.c_str() + pos + needle.size());
+        return std::nan("");
+    return std::strtod(line.c_str() + pos + needle.size(), nullptr);
+}
+
+/** Extract `"key": "<string>"` from a one-case JSON line. */
+std::string
+extractString(const std::string &line, const std::string &key)
+{
+    const std::string needle = "\"" + key + "\": \"";
+    const auto pos = line.find(needle);
+    if (pos == std::string::npos)
+        return "";
+    const auto begin = pos + needle.size();
+    return line.substr(begin, line.find('"', begin) - begin);
 }
 
 /**
- * Compare this run's speedup ratios against a committed baseline JSON.
- * Returns false (regression) when any case+mode present in both files
- * lost more than 20% of its speedup-over-global — a normalized
- * events/sec regression check that is robust to absolute host speed.
+ * True if @p a and @p b are at most 4 ulps apart, the tolerance of the
+ * tests' EXPECT_DOUBLE_EQ goldens: another compiler or libm may round
+ * the metric differently in its last bits.
  */
 bool
-compareBaseline(const std::string &path,
-                const std::vector<CaseResult> &results)
+within4Ulps(double a, double b)
+{
+    for (int i = 0; i < 4 && a != b; ++i)
+        a = std::nextafter(a, b);
+    return a == b;
+}
+
+/**
+ * Gate this run against a committed baseline JSON: the two must hold
+ * the same case/mode rows, every counter must match exactly and the
+ * metric within 4 ulps, and no case may take longer than
+ * kMaxCaseSeconds. Returns false on any miss, after reporting every one.
+ */
+bool
+gateAgainstBaseline(const std::string &path,
+                    const std::vector<CaseResult> &results)
 {
     std::ifstream in(path);
     if (!in) {
@@ -346,34 +413,70 @@ compareBaseline(const std::string &path,
                      path.c_str());
         return false;
     }
-    bool ok = true;
+    std::map<std::string, std::string> baseline; // "case/mode" -> line
     std::string line;
-    while (std::getline(in, line)) {
-        if (line.find("\"name\"") == std::string::npos)
+    while (std::getline(in, line))
+        if (line.find("\"name\"") != std::string::npos)
+            baseline[extractString(line, "name") + "/" +
+                     extractString(line, "mode")] = line;
+
+    bool ok = true;
+    for (const CaseResult &r : results) {
+        const std::string key = r.name + "/" + r.mode;
+        if (r.wallS > kMaxCaseSeconds) {
+            std::fprintf(stderr,
+                         "sim_perf: SLOW %s took %.3f s > %.3f s\n",
+                         key.c_str(), r.wallS, kMaxCaseSeconds);
+            ok = false;
+        }
+        const auto it = baseline.find(key);
+        if (it == baseline.end()) {
+            std::fprintf(stderr, "sim_perf: %s missing from baseline\n",
+                         key.c_str());
+            ok = false;
             continue;
-        const double baseSpeedup =
-            extractNumber(line, "speedup_vs_global");
-        if (baseSpeedup <= 0.0)
-            continue; // baseline-mode rows carry no ratio
-        for (const CaseResult &r : results) {
-            if (r.speedupVsGlobal <= 0.0)
-                continue;
-            if (line.find("\"name\": \"" + r.name + "\"") ==
-                    std::string::npos ||
-                line.find("\"mode\": \"" + r.mode + "\"") ==
-                    std::string::npos)
-                continue;
-            if (r.speedupVsGlobal < 0.8 * baseSpeedup) {
+        }
+        for (const auto &[field, value] : gatedFields(r)) {
+            const double want = extractNumber(it->second, field);
+            const bool match = std::strcmp(field, "metric") == 0
+                                   ? within4Ulps(value, want)
+                                   : value == want;
+            if (!match) {
                 std::fprintf(stderr,
-                             "sim_perf: REGRESSION %s/%s speedup %.2fx < "
-                             "80%% of baseline %.2fx\n",
-                             r.name.c_str(), r.mode.c_str(),
-                             r.speedupVsGlobal, baseSpeedup);
+                             "sim_perf: MISMATCH %s %s %.17g != baseline "
+                             "%.17g\n",
+                             key.c_str(), field, value, want);
                 ok = false;
             }
         }
+        baseline.erase(it);
+    }
+    for (const auto &[key, unused] : baseline) {
+        std::fprintf(stderr, "sim_perf: baseline row %s not run\n",
+                     key.c_str());
+        ok = false;
     }
     return ok;
+}
+
+/**
+ * Bit-identity guardrail: the modes of one case must reproduce its
+ * first row's metric to the last bit.
+ */
+bool
+modesAgree(const std::vector<CaseResult> &rows)
+{
+    for (const CaseResult &r : rows) {
+        if (r.metric != rows.front().metric) {
+            std::fprintf(stderr,
+                         "sim_perf: BIT-IDENTITY VIOLATION: %s/%s metric "
+                         "%.17g != %s %.17g\n",
+                         r.name.c_str(), r.mode.c_str(), r.metric,
+                         rows.front().mode.c_str(), rows.front().metric);
+            return false;
+        }
+    }
+    return true;
 }
 
 } // namespace
@@ -384,7 +487,6 @@ main(int argc, char **argv)
     bool smoke = false;
     std::string outPath = "BENCH_sim_perf.json";
     std::string baselinePath;
-    double minSpeedup = 5.0;
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--smoke") == 0) {
             smoke = true;
@@ -393,9 +495,6 @@ main(int argc, char **argv)
         } else if (std::strcmp(argv[i], "--baseline") == 0 &&
                    i + 1 < argc) {
             baselinePath = argv[++i];
-        } else if (std::strcmp(argv[i], "--min-speedup") == 0 &&
-                   i + 1 < argc) {
-            minSpeedup = std::atof(argv[++i]);
         } else {
             std::fprintf(stderr, "sim_perf: unknown arg %s\n", argv[i]);
             return 1;
@@ -403,6 +502,8 @@ main(int argc, char **argv)
     }
 
     using Mode = FluidNetwork::SolverMode;
+    const Mode modes[] = {Mode::FullResolve, Mode::Incremental};
+    std::vector<CaseResult> results;
 
     // fig19-at-256: a real session at the repo's largest single-server
     // scale. Smoke shrinks to 64 accelerators for CI.
@@ -411,57 +512,21 @@ main(int argc, char **argv)
     const std::size_t measure = smoke ? 2 : 4;
     const std::size_t reps = smoke ? 2 : 5;
     const char *sessName = smoke ? "fig19_at_64" : "fig19_at_256";
-
-    std::vector<CaseResult> results;
-    for (Mode mode :
-         {Mode::GlobalResolve, Mode::FullResolve, Mode::Incremental})
-        results.push_back(
+    std::vector<CaseResult> sessions;
+    for (Mode mode : modes)
+        sessions.push_back(
             runSession(sessName, accs, mode, warmup, measure, reps));
-    for (std::size_t i = 1; i < results.size(); ++i)
-        results[i].speedupVsGlobal =
-            results[0].eventsPerSec > 0.0
-                ? results[i].eventsPerSec / results[0].eventsPerSec
-                : 0.0;
+    if (!modesAgree(sessions))
+        return 1;
+    results.insert(results.end(), sessions.begin(), sessions.end());
 
-    // Bit-identity guardrail: every mode must reproduce the same session
-    // throughput, to the last bit. (The session's components are
-    // symmetric, so even the coupled global loop matches exactly.)
-    for (std::size_t i = 1; i < results.size(); ++i) {
-        if (results[i].metric != results[0].metric) {
-            std::fprintf(stderr,
-                         "sim_perf: BIT-IDENTITY VIOLATION: %s throughput "
-                         "%.17g != global_resolve %.17g\n",
-                         results[i].mode.c_str(), results[i].metric,
-                         results[0].metric);
-            return 1;
-        }
-    }
-
-    // fleet_10k: disjoint heterogeneous-job churn. The global baseline
-    // re-solves the whole network on every event, so it gets a smaller
-    // event budget; the comparison is events/sec, which normalizes.
+    // fleet_10k: disjoint heterogeneous-job churn, the same event
+    // budget for both modes.
     const std::size_t jobs = smoke ? 250 : 2500;
     const char *fleetName = smoke ? "fleet_1k" : "fleet_10k";
-    // The coupled loop costs seconds per event at 10k flows — a tiny
-    // budget keeps the baseline measurable without dominating the run.
-    const std::uint64_t globalEvents = smoke ? 60 : 15;
-    const std::uint64_t fullEvents = smoke ? 600 : 2000;
-    const std::uint64_t incEvents = smoke ? 4000 : 20000;
-
-    const CaseResult fleetGlobal =
-        runFleet(fleetName, jobs, globalEvents, Mode::GlobalResolve);
-    results.push_back(fleetGlobal);
-    auto addFleet = [&](std::uint64_t budget, Mode mode) {
-        CaseResult r = runFleet(fleetName, jobs, budget, mode);
-        r.speedupVsGlobal = fleetGlobal.eventsPerSec > 0.0
-                                ? r.eventsPerSec /
-                                      fleetGlobal.eventsPerSec
-                                : 0.0;
-        results.push_back(r);
-        return r;
-    };
-    addFleet(fullEvents, Mode::FullResolve);
-    const CaseResult fleetInc = addFleet(incEvents, Mode::Incremental);
+    const std::uint64_t fleetEvents = 2000;
+    for (Mode mode : modes)
+        results.push_back(runFleet(fleetName, jobs, fleetEvents, mode));
 
     // fleet_sessions: the real multi-job fleet (trainbox/fleet.hh) end
     // to end — co-resident full sessions on one shared core, run to
@@ -471,58 +536,39 @@ main(int argc, char **argv)
     const char *fsName = smoke ? "fleet_sessions_4" : "fleet_sessions_12";
     const std::size_t fsWarmup = smoke ? 1 : 2;
     const std::size_t fsMeasure = smoke ? 2 : 4;
-    const CaseResult fsGlobal = runFleetSessions(
-        fsName, fleetJobs, Mode::GlobalResolve, fsWarmup, fsMeasure);
-    results.push_back(fsGlobal);
-    auto addFleetSessions = [&](Mode mode) {
-        CaseResult r = runFleetSessions(fsName, fleetJobs, mode, fsWarmup,
-                                        fsMeasure);
-        r.speedupVsGlobal =
-            fsGlobal.eventsPerSec > 0.0
-                ? r.eventsPerSec / fsGlobal.eventsPerSec
-                : 0.0;
-        results.push_back(r);
-    };
-    addFleetSessions(Mode::FullResolve);
-    addFleetSessions(Mode::Incremental);
-    for (std::size_t i = results.size() - 2; i < results.size(); ++i) {
-        if (results[i].metric != fsGlobal.metric) {
-            std::fprintf(stderr,
-                         "sim_perf: BIT-IDENTITY VIOLATION: %s/%s "
-                         "aggregate throughput %.17g != global_resolve "
-                         "%.17g\n",
-                         results[i].name.c_str(), results[i].mode.c_str(),
-                         results[i].metric, fsGlobal.metric);
-            return 1;
-        }
-    }
+    std::vector<CaseResult> fleetSessions;
+    for (Mode mode : modes)
+        fleetSessions.push_back(runFleetSessions(fsName, fleetJobs, mode,
+                                                 fsWarmup, fsMeasure));
+    if (!modesAgree(fleetSessions))
+        return 1;
+    results.insert(results.end(), fleetSessions.begin(),
+                   fleetSessions.end());
 
     results.push_back(runEqChurn(smoke ? 200000 : 2000000));
 
-    std::printf("%-14s %-20s %10s %10s %14s %10s\n", "case", "mode",
-                "wall_s", "events", "events/sec", "speedup");
+    std::printf("%-17s %-13s %9s %9s %9s %8s %10s %11s %10s\n", "case",
+                "mode", "wall_s", "events", "us/event", "solves",
+                "components", "flows", "reanchored");
     for (const CaseResult &r : results) {
-        char speedup[32] = "-";
-        if (r.speedupVsGlobal > 0.0)
-            std::snprintf(speedup, sizeof(speedup), "%.2fx",
-                          r.speedupVsGlobal);
-        std::printf("%-14s %-20s %10.3f %10llu %14.1f %10s\n",
+        std::printf("%-17s %-13s %9.3f %9llu %9.3f %8llu %10llu %11llu "
+                    "%10llu\n",
                     r.name.c_str(), r.mode.c_str(), r.wallS,
                     static_cast<unsigned long long>(r.events),
-                    r.eventsPerSec, speedup);
+                    r.usPerEvent(),
+                    static_cast<unsigned long long>(r.work.solves),
+                    static_cast<unsigned long long>(
+                        r.work.componentsSolved),
+                    static_cast<unsigned long long>(r.work.flowsSolved),
+                    static_cast<unsigned long long>(
+                        r.work.flowsReanchored));
     }
 
     writeJson(outPath, results, smoke);
     std::printf("\nwrote %s\n", outPath.c_str());
 
-    if (fleetInc.speedupVsGlobal < minSpeedup) {
-        std::fprintf(stderr,
-                     "sim_perf: fleet incremental speedup %.2fx below "
-                     "required %.2fx\n",
-                     fleetInc.speedupVsGlobal, minSpeedup);
-        return 2;
-    }
-    if (!baselinePath.empty() && !compareBaseline(baselinePath, results))
+    if (!baselinePath.empty() &&
+        !gateAgainstBaseline(baselinePath, results))
         return 3;
     return 0;
 }

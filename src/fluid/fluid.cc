@@ -170,7 +170,13 @@ DemandSet::add(FluidResource *resource, double weight)
     panic_if(resource == nullptr, "DemandSet::add null resource");
     if (weight <= 0.0)
         return;
-    weights_[resource] += weight;
+    for (FlowDemand &d : demands_) {
+        if (d.resource == resource) {
+            d.weight += weight;
+            return;
+        }
+    }
+    demands_.push_back({resource, weight});
 }
 
 void
@@ -180,20 +186,14 @@ DemandSet::add(const std::vector<FlowDemand> &demands, double scale)
         add(d.resource, d.weight * scale);
 }
 
-std::vector<FlowDemand>
-DemandSet::build() const
+FluidNetwork::FluidNetwork(EventQueue &eq) : eq_(eq)
 {
-    std::vector<FlowDemand> out;
-    out.reserve(weights_.size());
-    for (const auto &[res, w] : weights_)
-        out.push_back({res, w});
-    return out;
+    eq_.setEventEndHook([this] { commit(); });
 }
-
-FluidNetwork::FluidNetwork(EventQueue &eq) : eq_(eq) {}
 
 FluidNetwork::~FluidNetwork()
 {
+    eq_.setEventEndHook(nullptr);
     eq_.cancel(pending_);
 }
 
@@ -355,8 +355,10 @@ FluidNetwork::cancelFlow(FlowId id)
 }
 
 double
-FluidNetwork::flowRate(FlowId id) const
+FluidNetwork::flowRate(FlowId id)
 {
+    if (solvePending())
+        solveDirty();
     auto it = flows_.find(id);
     return it == flows_.end() ? 0.0 : it->second.rate;
 }
@@ -419,7 +421,11 @@ FluidNetwork::resetAccounting(std::size_t begin, std::size_t end)
 void
 FluidNetwork::afterMutation()
 {
-    if (batchDepth_ == 0)
+    if (batchDepth_ > 0)
+        return;
+    if (eq_.inEvent())
+        eq_.requestEventEnd();
+    else
         commit();
 }
 
@@ -428,7 +434,7 @@ FluidNetwork::endBatch()
 {
     panic_if(batchDepth_ == 0, "endBatch without beginBatch");
     if (--batchDepth_ == 0)
-        commit();
+        afterMutation();
 }
 
 void
@@ -485,24 +491,6 @@ FluidNetwork::reanchor(FluidFlow &flow, double rate)
 void
 FluidNetwork::solveDirty()
 {
-    if (mode_ == SolverMode::GlobalResolve) {
-        for (FluidResource *r : dirtyResources_)
-            r->dirty_ = false;
-        dirtyResources_.clear();
-        dirtyFlowIds_.clear();
-        if (flows_.empty())
-            return;
-        ++stats_.solves;
-        ++stats_.fullSolves;
-        ++stats_.componentsSolved;
-        stats_.flowsSolved += flows_.size();
-        solveGlobal();
-        for (auto &[id, flow] : flows_)
-            if (flow.fill != flow.rate)
-                reanchor(flow, flow.fill);
-        return;
-    }
-
     affected_.clear();
     resQueue_.clear();
     const std::uint64_t mark = ++mark_;
@@ -701,90 +689,6 @@ FluidNetwork::solveComponent()
 }
 
 void
-FluidNetwork::solveGlobal()
-{
-    // The seed's coupled loop, kept verbatim: the uniform step is the
-    // minimum across the entire network, so disjoint components advance
-    // in lockstep and a 10k-flow fleet pays O(components) rounds of
-    // O(network) work per solve. bench/sim_perf's baseline.
-    for (auto &r : resources_) {
-        r->allocScratch_ = r->capacity();
-        r->weightScratch_ = 0.0;
-    }
-
-    std::size_t unfrozen = 0;
-    for (auto &[id, flow] : flows_) {
-        flow.fill = 0.0;
-        flow.frozen = flow.remaining <= 0.0;
-        if (!flow.frozen)
-            ++unfrozen;
-    }
-
-    while (unfrozen > 0) {
-        for (auto &r : resources_)
-            r->weightScratch_ = 0.0;
-        for (auto &[id, flow] : flows_) {
-            if (flow.frozen)
-                continue;
-            for (const auto &d : flow.demands)
-                d.resource->weightScratch_ += d.weight * flow.fairWeight;
-        }
-
-        double step = kInf;
-        for (auto &r : resources_) {
-            if (r->weightScratch_ > 0.0)
-                step = std::min(step,
-                                std::max(0.0, r->allocScratch_) /
-                                    r->weightScratch_);
-        }
-        for (auto &[id, flow] : flows_) {
-            if (flow.frozen || flow.rateCap <= 0.0)
-                continue;
-            step = std::min(step, (flow.rateCap - flow.fill) /
-                                      flow.fairWeight);
-        }
-        panic_if(std::isinf(step),
-                 "unconstrained flow in fluid network (no demand, no cap)");
-
-        for (auto &[id, flow] : flows_) {
-            if (flow.frozen)
-                continue;
-            flow.fill += step * flow.fairWeight;
-            for (const auto &d : flow.demands)
-                d.resource->allocScratch_ -=
-                    d.weight * flow.fairWeight * step;
-        }
-
-        for (auto &[id, flow] : flows_) {
-            if (flow.frozen)
-                continue;
-            if (flow.rateCap > 0.0 &&
-                flow.fill >= flow.rateCap * (1.0 - 1e-12)) {
-                flow.frozen = true;
-                --unfrozen;
-            }
-        }
-        for (auto &r : resources_) {
-            if (r->weightScratch_ <= 0.0)
-                continue;
-            if (r->allocScratch_ <= 1e-12 * r->capacity()) {
-                for (auto &[id, flow] : flows_) {
-                    if (flow.frozen)
-                        continue;
-                    for (const auto &d : flow.demands) {
-                        if (d.resource == r.get()) {
-                            flow.frozen = true;
-                            --unfrozen;
-                            break;
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-void
 FluidNetwork::scheduleCompletion()
 {
     // One pending event, at the top of the heap; it moves only when the
@@ -829,7 +733,8 @@ FluidNetwork::completeEarliest()
         activeFlowsGauge_->set(static_cast<double>(flows_.size()));
     }
 
-    commit();
+    // The callbacks' own starts join this solve at the end of the event.
+    afterMutation();
 
     for (auto &cb : callbacks)
         if (cb)

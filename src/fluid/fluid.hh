@@ -28,7 +28,14 @@
  * rates, which are exactly what a fresh solve would produce — max-min
  * allocations are independent across components (the dirty-set invariant;
  * see docs/PERFORMANCE.md). FullResolve mode re-solves every component on
- * every mutation and is the reference the equivalence tests pin against.
+ * every solve and is the reference the equivalence tests pin against.
+ *
+ * Mutations commit once per event. Inside an EventQueue callback, flow
+ * starts, cancels and capacity changes only mark the dirty set; the
+ * solve, the load settling and the completion-event reschedule run once,
+ * when the callback returns (the network is the queue's event-end hook).
+ * Outside events a mutation commits at once, unless a FlowBatch is open.
+ * flowRate() runs a pending solve first, so a rate read is never stale.
  *
  * The engine also performs per-category accounting on every resource
  * (bytes moved for "data_load" vs "formatting" vs ...), which is what the
@@ -228,7 +235,8 @@ struct FluidFlow
 /**
  * Accumulates (resource, weight) pairs, merging duplicates — convenient
  * when a flow's route shares links with other parts of its path (e.g.,
- * reads spread over many SSDs behind common switches).
+ * reads spread over many SSDs behind common switches). Routes touch a
+ * handful of resources, so merging is a linear search.
  */
 class DemandSet
 {
@@ -239,13 +247,13 @@ class DemandSet
     /** Add a list of demands, each scaled by @p scale. */
     void add(const std::vector<FlowDemand> &demands, double scale = 1.0);
 
-    /** Materialize the merged demand vector. */
-    std::vector<FlowDemand> build() const;
+    /** The merged demands, in order of each resource's first add. */
+    std::vector<FlowDemand> build() const { return demands_; }
 
-    bool empty() const { return weights_.empty(); }
+    bool empty() const { return demands_.empty(); }
 
   private:
-    std::map<FluidResource *, double> weights_;
+    std::vector<FlowDemand> demands_;
 };
 
 /**
@@ -258,26 +266,15 @@ class FluidNetwork
     /**
      * Solver strategy. Incremental (the default) re-solves only the
      * connected components touched since the last solve; FullResolve
-     * re-solves every component on every mutation. Both run the same
+     * re-solves every component on every solve. Both run the same
      * per-component progressive filling, so their results are
-     * bit-identical — FullResolve exists as the reference baseline for
-     * equivalence tests and for perf comparisons in bench/sim_perf.
-     *
-     * GlobalResolve is the legacy seed algorithm: one *coupled*
-     * progressive-filling loop over the whole network, whose uniform
-     * rate-raising step is the min across all components at once. Its
-     * exact allocations equal the per-component solve, but the
-     * floating-point summation order differs when several asymmetric
-     * components are active (identical results on single-component or
-     * symmetric networks, which covers the pinned session goldens).
-     * Kept as the perf baseline bench/sim_perf measures speedups
-     * against, and for A/B-ing the decomposition itself.
+     * bit-identical — FullResolve is the in-tree oracle the equivalence
+     * tests and bench/sim_perf compare against.
      */
     enum class SolverMode
     {
         Incremental,
         FullResolve,
-        GlobalResolve,
     };
 
     /** Cumulative solver work counters (monotonic; for bench/tests). */
@@ -294,14 +291,17 @@ class FluidNetwork
     };
 
     /**
-     * RAII batch scope: while at least one FlowBatch is alive, startFlow
-     * and cancelFlow defer the rate solve and completion (re)scheduling;
-     * the dirty set accumulates and is solved once when the outermost
-     * batch ends. Launching k flows at one timestamp costs one solve
-     * instead of k. Rates and the completion event are stale inside the
-     * scope, so don't query flowRate() or step the EventQueue until the
-     * batch closes. Results are bit-identical to unbatched calls because
-     * component solves are from-scratch (see docs/PERFORMANCE.md).
+     * RAII batch scope for mutations made outside an event (an event
+     * callback is already one batch): while at least one FlowBatch is
+     * alive, startFlow, cancelFlow and capacityChanged only mark the
+     * dirty set, which is solved once when the outermost batch ends.
+     * Launching k flows at one timestamp costs one solve instead of k.
+     * flowRate() still solves first; the completion event is stale
+     * until the batch closes, so don't step the EventQueue inside it.
+     * Rates equal those of unbatched calls, since component solves are
+     * from scratch; finish times can differ in the last bits, because a
+     * flow is no longer re-anchored at an intermediate rate (see
+     * docs/PERFORMANCE.md, "One solve per event").
      */
     class FlowBatch
     {
@@ -363,8 +363,15 @@ class FluidNetwork
     /** Abort a flow without firing its completion callback. */
     void cancelFlow(FlowId id);
 
-    /** Current allocated base rate of a flow (0 when unknown/starved). */
-    double flowRate(FlowId id) const;
+    /**
+     * Current allocated base rate of a flow (0 when unknown/starved).
+     * Runs any pending solve first, so inside an event or a batch it is
+     * not a pure read: it re-anchors the flows whose rates change at
+     * that point, and later finish times can differ in the last bits
+     * from a run that does not read (docs/PERFORMANCE.md, "One solve
+     * per event"). Between events there is nothing pending.
+     */
+    double flowRate(FlowId id);
 
     /** Remaining base units of a flow (0 when unknown). */
     double flowRemaining(FlowId id) const;
@@ -428,18 +435,28 @@ class FluidNetwork
   private:
     friend class FluidResource;
 
-    /** Solve, update loads and the completion event, unless batched. */
+    /**
+     * Commit a mutation: at once outside events and batches, at the
+     * end of the current event inside one, at batch close inside a
+     * FlowBatch.
+     */
     void afterMutation();
     void beginBatch() { ++batchDepth_; }
     void endBatch();
+    /** Solve, settle the loads and move the completion event. */
     void commit();
+
+    /** True when a mutation has marked something the solver has not seen. */
+    bool
+    solvePending() const
+    {
+        return !dirtyResources_.empty() || !dirtyFlowIds_.empty();
+    }
 
     /** Re-solve the components reachable from the dirty set. */
     void solveDirty();
     /** Progressive filling over compFlows_/compRes_ (sorted). */
     void solveComponent();
-    /** Legacy coupled whole-network progressive filling. */
-    void solveGlobal();
 
     void scheduleCompletion();
     void completeEarliest();

@@ -84,6 +84,15 @@ EventQueue::compact()
     std::make_heap(heap_.begin(), heap_.end(), EntryAfter{});
 }
 
+void
+EventQueue::setEventEndHook(Callback hook)
+{
+    panic_if(hook && eventEndHook_,
+             "event queue already has an event-end hook");
+    eventEndHook_ = std::move(hook);
+    eventEndDue_ = false;
+}
+
 Time
 EventQueue::nextTime() const
 {
@@ -104,7 +113,13 @@ EventQueue::step()
     pending_.erase(entry.key.seq);
     now_ = entry.key.when;
     ++numExecuted_;
+    inEvent_ = true;
     entry.cb();
+    inEvent_ = false;
+    if (eventEndDue_) {
+        eventEndDue_ = false;
+        eventEndHook_();
+    }
     return true;
 }
 

@@ -13,6 +13,12 @@
  * "Event-queue batching"). Execution order is the same strict total order
  * as before — (when, priority, seq) — so a heap rebuild never reorders
  * live events.
+ *
+ * One client may register an event-end hook: work it asks for while a
+ * callback runs (requestEventEnd) is done once, when that callback
+ * returns. The fluid network uses it to re-solve once per event however
+ * many flows the callback started or cancelled; an event that asks for
+ * nothing pays one flag test.
  */
 
 #ifndef TRAINBOX_SIM_EVENT_QUEUE_HH
@@ -101,6 +107,21 @@ class EventQueue
     /** Total number of events executed so far. */
     std::uint64_t numExecuted() const { return numExecuted_; }
 
+    /** True while step() is running an event's callback. */
+    bool inEvent() const { return inEvent_; }
+
+    /**
+     * Register the queue's one event-end hook (nullptr removes it).
+     * Panics when a second client tries to register one.
+     */
+    void setEventEndHook(Callback hook);
+
+    /**
+     * Run the event-end hook once the current callback returns. Only
+     * meaningful inside a callback (see inEvent()); idempotent.
+     */
+    void requestEventEnd() { eventEndDue_ = true; }
+
     /**
      * Minimum heap size before cancel() considers a tombstone sweep.
      * Below the threshold compaction is skipped entirely; above it a
@@ -166,6 +187,9 @@ class EventQueue
     std::size_t compactMinHeap_ = kDefaultCompactMinHeap;
     std::uint64_t nextSeq_ = 1;
     std::uint64_t numExecuted_ = 0;
+    bool inEvent_ = false;
+    bool eventEndDue_ = false;
+    Callback eventEndHook_;
 
     // mutable so the const observers (nextTime) can discard tombstones;
     // purging never changes observable state.

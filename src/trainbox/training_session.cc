@@ -122,9 +122,6 @@ TrainingSession::launchPrep(std::size_t g)
     // Launch chunk chains as window slots free up; the local and
     // offloaded streams are independent producers of prepared samples,
     // so a slow prep-pool round-trip never stalls completed local work.
-    // All chains launch at one timestamp: batch them so the solver runs
-    // once for the whole window instead of once per flow.
-    FluidNetwork::FlowBatch launchBatch(net_);
     while (gs.readySamples + gs.inFlightSamples < window - 1e-6) {
         gs.inFlightSamples += chunk;
         if (fault_ || elastic_) {
@@ -631,8 +628,8 @@ TrainingSession::onFatalCrash(const FaultEvent &)
 // scale-up joins). The state machine lives on GroupState::membership;
 // transitions that no longer apply (e.g. a drain for a group a preempt
 // already removed) are dropped here. Device capacity changes go through
-// setFailed -> capacityChanged inside a FlowBatch, so the fluid re-solve
-// stays component-local and runs once per transition.
+// setFailed -> capacityChanged; the fluid re-solve stays component-local
+// and runs once per transition, when the event ends.
 
 void
 TrainingSession::accrueCapacity()
@@ -768,37 +765,34 @@ TrainingSession::detachGroup(std::size_t g, bool preempted)
     GroupState &gs = groups_[g];
     if (gs.membership == Membership::Detached)
         return;
-    {
-        FluidNetwork::FlowBatch batch(net_);
-        // In-flight prep chains die with the member.
-        for (auto it = chains_.begin(); it != chains_.end();) {
-            if (it->second.group != g) {
-                ++it;
-                continue;
-            }
-            if (it->second.flow != 0)
-                net_.cancelFlow(it->second.flow);
-            it = chains_.erase(it);
+    // In-flight prep chains die with the member.
+    for (auto it = chains_.begin(); it != chains_.end();) {
+        if (it->second.group != g) {
+            ++it;
+            continue;
         }
-        gs.inFlightSamples = 0.0;
-        // Buffered prepared samples are discarded: the data shard moves
-        // to the survivors, who re-read it from storage.
-        samplesDiscarded_ += gs.readySamples;
-        double lost = gs.readySamples;
-        gs.readySamples = 0.0;
-        if (gs.computeEv.valid()) {
-            eq_.cancel(gs.computeEv);
-            gs.computeEv.invalidate();
-            lost += groupBatchSamples(g); // aborted mid-step batch
-        }
-        gs.computing = false;
-        if (preempted)
-            elasticStats_.samplesLostToPreemption += lost;
-        else
-            elasticStats_.samplesDroppedAtDrain += lost;
-        for (PrepAccelerator *p : gs.spec->preps)
-            p->setFailed(true);
+        if (it->second.flow != 0)
+            net_.cancelFlow(it->second.flow);
+        it = chains_.erase(it);
     }
+    gs.inFlightSamples = 0.0;
+    // Buffered prepared samples are discarded: the data shard moves to
+    // the survivors, who re-read it from storage.
+    samplesDiscarded_ += gs.readySamples;
+    double lost = gs.readySamples;
+    gs.readySamples = 0.0;
+    if (gs.computeEv.valid()) {
+        eq_.cancel(gs.computeEv);
+        gs.computeEv.invalidate();
+        lost += groupBatchSamples(g); // aborted mid-step batch
+    }
+    gs.computing = false;
+    if (preempted)
+        elasticStats_.samplesLostToPreemption += lost;
+    else
+        elasticStats_.samplesDroppedAtDrain += lost;
+    for (PrepAccelerator *p : gs.spec->preps)
+        p->setFailed(true);
     accrueCapacity();
     gs.membership = Membership::Detached;
     --activeGroups_;
@@ -845,16 +839,13 @@ TrainingSession::completeJoin(std::size_t g)
     // Data-shard rebalance: the joiner picks up at the current global
     // step (or the next one when its sync is already in flight).
     gs.stepsComputed = syncedSteps_ + (syncEv_.valid() ? 1 : 0);
-    {
-        FluidNetwork::FlowBatch batch(net_);
-        // Its devices power back up — except the last FPGA while a
-        // fault window or an elastic prep leave still holds it down.
-        const auto &preps = gs.spec->preps;
-        for (std::size_t i = 0; i < preps.size(); ++i) {
-            const bool keep_failed = i + 1 == preps.size() &&
-                                     (gs.prepDegraded || gs.prepElasticOut);
-            preps[i]->setFailed(keep_failed);
-        }
+    // Its devices power back up — except the last FPGA while a fault
+    // window or an elastic prep leave still holds it down.
+    const auto &preps = gs.spec->preps;
+    for (std::size_t i = 0; i < preps.size(); ++i) {
+        const bool keep_failed = i + 1 == preps.size() &&
+                                 (gs.prepDegraded || gs.prepElasticOut);
+        preps[i]->setFailed(keep_failed);
     }
     replanOffload();
     launchPrep(g);
@@ -1440,6 +1431,9 @@ TrainingSession::start(std::size_t warmup, std::size_t measure)
         });
     }
 
+    // Every group's first window launches at one timestamp; outside an
+    // event that takes a batch to cost one solve.
+    FluidNetwork::FlowBatch launchBatch(net_);
     for (std::size_t g = 0; g < groups_.size(); ++g)
         launchPrep(g);
 }

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "sim/event_queue.hh"
@@ -233,6 +234,37 @@ TEST(EventQueue, NextTimeSkipsCancelledTop)
     EXPECT_DOUBLE_EQ(eq.nextTime(), 1.0);
     eq.cancel(early);
     EXPECT_DOUBLE_EQ(eq.nextTime(), 3.0);
+}
+
+TEST(EventQueue, EventEndHookRunsOnceAfterRequestingCallback)
+{
+    EventQueue eq;
+    std::vector<std::string> log;
+    eq.setEventEndHook([&] {
+        EXPECT_FALSE(eq.inEvent());
+        log.push_back("hook");
+    });
+    EXPECT_FALSE(eq.inEvent());
+    eq.schedule(1.0, [&] {
+        EXPECT_TRUE(eq.inEvent());
+        eq.requestEventEnd();
+        eq.requestEventEnd(); // idempotent
+        log.push_back("a");
+    });
+    eq.schedule(2.0, [&] { log.push_back("b"); }); // asks for nothing
+    eq.run();
+    EXPECT_EQ(log, (std::vector<std::string>{"a", "hook", "b"}));
+
+    // Removing the hook lets another client register one.
+    eq.setEventEndHook(nullptr);
+    eq.setEventEndHook([] {});
+}
+
+TEST(EventQueueDeath, SecondEventEndHookPanics)
+{
+    EventQueue eq;
+    eq.setEventEndHook([] {});
+    EXPECT_DEATH(eq.setEventEndHook([] {}), "event-end hook");
 }
 
 TEST(EventQueueDeath, SchedulingInThePastPanics)

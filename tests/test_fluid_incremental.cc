@@ -9,18 +9,18 @@
  * component on every event (FullResolve). These tests replay randomized
  * scripts — random topologies x random flow arrival/departure schedules
  * — under both modes and compare the full observable trace. The same
- * harness pins metrics-on/off and FlowBatch-vs-unbatched bit-identity,
- * and sanity-checks the legacy coupled GlobalResolve mode (equal up to
- * floating-point reassociation). Two more checks cover the lazy flow
- * state: accounting read mid-flight equals an eager integration, and
- * the work counted per event does not grow with the rest of the
- * network.
+ * harness pins metrics-on/off and FlowBatch-vs-unbatched bit-identity.
+ * Two more checks cover the lazy flow state: accounting read mid-flight
+ * equals an eager integration, and the work counted per event does not
+ * grow with the rest of the network. The last pins the commit rule:
+ * whatever an event mutates costs one solve.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <vector>
 
 #include "common/random.hh"
@@ -111,7 +111,8 @@ makeScript(std::uint64_t seed)
 struct RunTrace
 {
     std::vector<double> completionTimes;
-    std::vector<std::size_t> completionIdx; ///< script start index
+    /// script start index, or n + k for the k-th successor
+    std::vector<std::size_t> completionIdx;
     std::vector<double> rateSamples; ///< all flows' rates after each op
     std::vector<double> servedTotals;
     double endTime = 0.0;
@@ -122,6 +123,11 @@ struct RunConfig
     Mode mode = Mode::FullResolve;
     bool metrics = false;
     bool batchStarts = false; ///< wrap each start op in a FlowBatch
+    /// Leave every solve to the event's end: read rates only between
+    /// events, where a read must not solve, and let completions start a
+    /// successor (start index % 3 != 1) or cancel a scripted flow
+    /// (% 3 != 0) inside the completion event, as session callbacks do.
+    bool eventEndSolves = false;
 };
 
 RunTrace
@@ -142,47 +148,81 @@ replay(const Script &s, const RunConfig &cfg)
                                       s.capacities[i]));
 
     RunTrace trace;
-    std::vector<FlowId> ids(s.starts.size(), 0);
+    const std::size_t n = s.starts.size();
+    std::vector<FlowId> ids(n, 0);
+    std::vector<FlowId> successorIds; ///< trace index n + position
 
     auto sampleRates = [&] {
         for (std::size_t i = 0; i < ids.size(); ++i)
             trace.rateSamples.push_back(
                 ids[i] ? net.flowRate(ids[i]) : 0.0);
+        for (FlowId id : successorIds)
+            trace.rateSamples.push_back(net.flowRate(id));
+    };
+    auto sampleInEvent = [&] {
+        if (!cfg.eventEndSolves)
+            sampleRates();
     };
 
-    for (std::size_t i = 0; i < s.starts.size(); ++i) {
-        const ScriptStart &st = s.starts[i];
-        eq.schedule(st.at, [&, i] {
-            const ScriptStart &start = s.starts[i];
-            FlowSpec spec;
-            spec.category = "cat" + std::to_string(i % 5);
-            spec.size = start.size;
-            spec.rateCap = start.cap;
-            spec.fairWeight = start.fairWeight;
-            for (const auto &d : start.demands)
-                spec.demands.push_back({res[d.res], d.weight});
-            spec.onComplete = [&trace, i](Time now) {
-                trace.completionTimes.push_back(now);
-                trace.completionIdx.push_back(i);
-            };
+    std::function<FlowSpec(std::size_t, double, std::size_t)> specFor =
+        [&](std::size_t i, double size, std::size_t traceIdx) {
+        const ScriptStart &start = s.starts[i];
+        FlowSpec spec;
+        spec.category = "cat" + std::to_string(i % 5);
+        spec.size = size;
+        spec.rateCap = start.cap;
+        spec.fairWeight = start.fairWeight;
+        for (const auto &d : start.demands)
+            spec.demands.push_back({res[d.res], d.weight});
+        spec.onComplete = [&, i, traceIdx](Time now) {
+            trace.completionTimes.push_back(now);
+            trace.completionIdx.push_back(traceIdx);
+            if (!cfg.eventEndSolves || traceIdx >= n)
+                return;
+            if (i % 3 != 1)
+                successorIds.push_back(net.startFlow(
+                    specFor(i, 0.5 * s.starts[i].size,
+                            n + successorIds.size())));
+            if (i % 3 != 0) {
+                const FlowId victim = ids[(7 * i + 3) % n];
+                if (victim != 0)
+                    net.cancelFlow(victim);
+            }
+            sampleInEvent();
+        };
+        return spec;
+    };
+
+    for (std::size_t i = 0; i < n; ++i) {
+        eq.schedule(s.starts[i].at, [&, i] {
+            FlowSpec spec = specFor(i, s.starts[i].size, i);
             if (cfg.batchStarts) {
                 FluidNetwork::FlowBatch batch(net);
                 ids[i] = net.startFlow(std::move(spec));
             } else {
                 ids[i] = net.startFlow(std::move(spec));
             }
-            sampleRates();
+            sampleInEvent();
         });
     }
     for (const ScriptCancel &c : s.cancels) {
         eq.schedule(c.at, [&, c] {
             if (ids[c.startIdx] != 0)
                 net.cancelFlow(ids[c.startIdx]);
-            sampleRates();
+            sampleInEvent();
         });
     }
 
-    eq.run();
+    if (cfg.eventEndSolves) {
+        while (eq.step()) {
+            const std::uint64_t solves = net.solverStats().solves;
+            sampleRates();
+            EXPECT_EQ(net.solverStats().solves, solves)
+                << "a read between events solved";
+        }
+    } else {
+        eq.run();
+    }
     for (const auto &r : net.resources())
         trace.servedTotals.push_back(r->totalServed());
     trace.endTime = eq.now();
@@ -222,24 +262,23 @@ TEST(FluidIncremental, RandomizedEquivalenceWithFullResolve)
     }
 }
 
-TEST(FluidIncremental, GlobalResolveMatchesWithinTolerance)
+TEST(FluidIncremental, RandomizedEquivalenceWithEventEndSolves)
 {
-    // The legacy coupled loop reassociates floating-point sums across
-    // components, so it is equal only up to tiny relative error.
-    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    // Nothing reads inside an event, so every solve is the one the
+    // event's end runs, and completions start and cancel flows inside
+    // the completion event.
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
         SCOPED_TRACE("seed " + std::to_string(seed));
-        const Script s = makeScript(seed * 0xabcd);
-        const RunTrace inc = replay(s, {.mode = Mode::Incremental});
-        const RunTrace glob = replay(s, {.mode = Mode::GlobalResolve});
-        ASSERT_EQ(inc.completionTimes.size(),
-                  glob.completionTimes.size());
-        for (std::size_t i = 0; i < inc.completionTimes.size(); ++i)
-            EXPECT_NEAR(inc.completionTimes[i], glob.completionTimes[i],
-                        1e-6 * (1.0 + inc.completionTimes[i]));
-        ASSERT_EQ(inc.servedTotals.size(), glob.servedTotals.size());
-        for (std::size_t i = 0; i < inc.servedTotals.size(); ++i)
-            EXPECT_NEAR(inc.servedTotals[i], glob.servedTotals[i],
-                        1e-6 * (1.0 + inc.servedTotals[i]));
+        const Script s = makeScript(seed * 0x51ed);
+        const RunTrace full = replay(
+            s, {.mode = Mode::FullResolve, .eventEndSolves = true});
+        const RunTrace incremental = replay(
+            s, {.mode = Mode::Incremental, .eventEndSolves = true});
+        ASSERT_GT(full.completionIdx.size(), s.starts.size() / 2);
+        EXPECT_GT(*std::max_element(full.completionIdx.begin(),
+                                    full.completionIdx.end()),
+                  s.starts.size());
+        expectTracesEqual(full, incremental, "incremental vs full");
     }
 }
 
@@ -258,8 +297,8 @@ TEST(FluidIncremental, MetricsOnOffBitIdentity)
 
 TEST(FluidIncremental, FlowBatchBitIdentity)
 {
-    // Batching a start defers the solve to batch close; at one start
-    // per batch the observable behavior is identical to unbatched.
+    // A batch inside an event defers to the event's end like an
+    // unbatched start, so the observable behavior is identical.
     for (std::uint64_t seed = 1; seed <= 4; ++seed) {
         SCOPED_TRACE("seed " + std::to_string(seed));
         const Script s = makeScript(seed * 0xba7c);
@@ -612,6 +651,75 @@ TEST(FluidIncremental, WorkPerEventIsIndependentOfNetworkSize)
         ASSERT_EQ(crowded.completions.size(), alone.completions.size());
         for (std::size_t i = 0; i < alone.completions.size(); ++i)
             EXPECT_EQ(crowded.completions[i], alone.completions[i]);
+    }
+}
+
+// --- one solve per event --------------------------------------------------
+
+TEST(FluidIncremental, SuccessorStartsInOneEventCostOneSolve)
+{
+    // k flows on one shared link finish at the same timestamp, and each
+    // completion callback starts a successor: the completions and the k
+    // starts are one event, so together they cost exactly one solve. A
+    // rate read inside a callback solves first and must match a fresh
+    // FullResolve network holding the same flows.
+    constexpr int k = 5;
+    EventQueue eq;
+    FluidNetwork net(eq);
+    FluidResource *link = net.addResource("link", 100.0);
+    FluidResource *pool = net.addResource("pool", 70.0);
+
+    auto successor = [&](int i) {
+        FlowSpec spec;
+        spec.category = "next";
+        spec.size = 50.0 + i;
+        spec.fairWeight = 1.0 + 0.5 * i;
+        spec.demands = {{link, 1.0}};
+        if (i % 2)
+            spec.demands.push_back({pool, 0.8});
+        return spec;
+    };
+
+    std::vector<FlowId> next;
+    std::vector<double> readRates;
+    for (int i = 0; i < k; ++i) {
+        FlowSpec spec;
+        spec.category = "first";
+        spec.size = 10.0;
+        spec.demands = {{link, 1.0}};
+        spec.onComplete = [&, i](Time) {
+            next.push_back(net.startFlow(successor(i)));
+            if (i == k - 1)
+                for (FlowId id : next)
+                    readRates.push_back(net.flowRate(id));
+        };
+        net.startFlow(std::move(spec));
+    }
+    // All k equal flows share the link evenly and finish together.
+    const FluidNetwork::SolverStats atStart = net.solverStats();
+    const std::uint64_t eventsBefore = eq.numExecuted();
+    ASSERT_TRUE(eq.step());
+    EXPECT_EQ(eq.numExecuted(), eventsBefore + 1);
+    ASSERT_EQ(next.size(), static_cast<std::size_t>(k));
+
+    const FluidNetwork::SolverStats &after = net.solverStats();
+    EXPECT_EQ(after.solves - atStart.solves, 1u);
+    EXPECT_EQ(after.componentsSolved - atStart.componentsSolved, 1u);
+    EXPECT_EQ(after.flowsSolved - atStart.flowsSolved,
+              static_cast<std::uint64_t>(k));
+
+    EventQueue freshEq;
+    FluidNetwork fresh(freshEq);
+    fresh.setSolverMode(FluidNetwork::SolverMode::FullResolve);
+    link = fresh.addResource("link", 100.0);
+    pool = fresh.addResource("pool", 70.0);
+    ASSERT_EQ(readRates.size(), static_cast<std::size_t>(k));
+    std::vector<FlowId> freshIds;
+    for (int i = 0; i < k; ++i)
+        freshIds.push_back(fresh.startFlow(successor(i)));
+    for (int i = 0; i < k; ++i) {
+        EXPECT_DOUBLE_EQ(readRates[i], fresh.flowRate(freshIds[i]));
+        EXPECT_DOUBLE_EQ(net.flowRate(next[i]), readRates[i]);
     }
 }
 

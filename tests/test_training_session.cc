@@ -288,5 +288,27 @@ TEST(SessionClock, LateStartCompletesWithinEventBudget)
         EXPECT_NEAR(runAt(t0), thr0, kRelTol * thr0) << "t0 = " << t0;
 }
 
+// Every flow an event starts or cancels, and every capacity it changes,
+// commits in one solve when the event ends (docs/PERFORMANCE.md, "One
+// solve per event"). start() runs outside any event and batches its
+// launches, hence the one extra solve.
+TEST(SessionSolves, AtMostOneSolvePerEvent)
+{
+    for (ArchPreset preset : allPresets()) {
+        for (std::size_t accs : {16, 256}) {
+            ServerConfig cfg;
+            cfg.preset = preset;
+            cfg.model = workload::ModelId::Resnet50;
+            cfg.numAccelerators = accs;
+            auto server = buildServer(cfg);
+            TrainingSession session(*server);
+            session.run(4, 8);
+            EXPECT_LE(server->core().fluid().solverStats().solves,
+                      server->core().events().numExecuted() + 1)
+                << presetName(preset) << " at " << accs;
+        }
+    }
+}
+
 } // namespace
 } // namespace tb
