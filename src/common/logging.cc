@@ -30,6 +30,19 @@ quiet()
     return quietFlag;
 }
 
+std::string
+csprintf(const char *fmt, ...)
+{
+    va_list args, again;
+    va_start(args, fmt);
+    va_copy(again, args);
+    std::string out(std::vsnprintf(nullptr, 0, fmt, args), '\0');
+    va_end(args);
+    std::vsnprintf(out.data(), out.size() + 1, fmt, again);
+    va_end(again);
+    return out;
+}
+
 namespace detail {
 
 void

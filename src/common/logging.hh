@@ -43,6 +43,10 @@ void setQuiet(bool quiet);
 /** @return true when inform() output is suppressed. */
 bool quiet();
 
+/** printf into a std::string, however long the result. */
+[[gnu::format(printf, 1, 2)]]
+std::string csprintf(const char *fmt, ...);
+
 #define panic(...) \
     ::tb::detail::logPanic(__FILE__, __LINE__, __VA_ARGS__)
 

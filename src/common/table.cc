@@ -10,9 +10,7 @@ namespace tb {
 std::string
 formatDouble(double value, int precision)
 {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.*f", precision, value);
-    return buf;
+    return csprintf("%.*f", precision, value);
 }
 
 Table::Table(std::vector<std::string> headers)

@@ -1,25 +1,10 @@
 #include "sim/schedule_source.hh"
 
 #include <algorithm>
-#include <cstdarg>
-#include <cstdio>
+
+#include "common/logging.hh"
 
 namespace tb {
-
-namespace {
-
-std::string
-formatLabel(const char *fmt, ...)
-{
-    char buf[160];
-    va_list ap;
-    va_start(ap, fmt);
-    std::vsnprintf(buf, sizeof(buf), fmt, ap);
-    va_end(ap);
-    return std::string(buf);
-}
-
-} // namespace
 
 std::vector<SchedulePreviewEntry>
 FaultScheduleSource::schedule(const FaultConfig &cfg,
@@ -32,9 +17,9 @@ FaultScheduleSource::schedule(const FaultConfig &cfg,
     for (const FaultEvent &ev : FaultInjector::schedule(cfg, ft, horizon)) {
         out.push_back(SchedulePreviewEntry{
             ev.start, "fault",
-            formatLabel("%s target=%zu for %.3gs x%.3g",
-                        faultKindName(ev.kind), ev.target, ev.duration,
-                        ev.magnitude)});
+            csprintf("%s target=%zu for %.3gs x%.3g",
+                     faultKindName(ev.kind), ev.target, ev.duration,
+                     ev.magnitude)});
     }
     return out;
 }
@@ -58,8 +43,8 @@ ElasticScheduleSource::schedule(const ElasticityConfig &cfg,
          ElasticScheduler::schedule(cfg, et, horizon)) {
         out.push_back(SchedulePreviewEntry{
             ev.at, "elastic",
-            formatLabel("%s %s%zu", elasticActionName(ev.action),
-                        elasticTargetKindName(ev.target), ev.index)});
+            csprintf("%s %s%zu", elasticActionName(ev.action),
+                     elasticTargetKindName(ev.target), ev.index)});
     }
     return out;
 }
@@ -82,9 +67,9 @@ IngestScheduleSource::schedule(const IngestConfig &cfg,
     for (const IngestArrival &ev : IngestScheduler::schedule(cfg, horizon)) {
         out.push_back(SchedulePreviewEntry{
             ev.at, "ingest",
-            formatLabel("%s %.0f samples prio=%d",
-                        ingestTrafficKindName(ev.kind), ev.samples,
-                        ev.priority)});
+            csprintf("%s %.0f samples prio=%d",
+                     ingestTrafficKindName(ev.kind), ev.samples,
+                     ev.priority)});
     }
     return out;
 }
@@ -108,9 +93,9 @@ FleetFaultScheduleSource::schedule(const FleetFaultConfig &cfg,
          FleetFaultInjector::schedule(cfg, targets.numHosts, horizon)) {
         out.push_back(SchedulePreviewEntry{
             ev.start, "fleet",
-            formatLabel("%s host=%zu for %.3gs units=%zu",
-                        fleetFaultKindName(ev.kind), ev.host, ev.duration,
-                        ev.units)});
+            csprintf("%s host=%zu for %.3gs units=%zu",
+                     fleetFaultKindName(ev.kind), ev.host, ev.duration,
+                     ev.units)});
     }
     return out;
 }

@@ -2,27 +2,9 @@
 
 #include <cstdio>
 
+#include "common/field_writer.hh"
+
 namespace tb {
-
-namespace {
-
-/** Escape a string for JSON (we only expect simple identifiers). */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out.push_back('\\');
-        if (static_cast<unsigned char>(c) < 0x20)
-            continue;
-        out.push_back(c);
-    }
-    return out;
-}
-
-} // namespace
 
 int
 TraceWriter::trackId(const std::string &track)
@@ -62,52 +44,43 @@ std::string
 TraceWriter::toJson() const
 {
     std::string out = "{\"traceEvents\":[";
-    bool first = true;
-    char buf[256];
+    const auto begin = [&out](char phase, int track) {
+        out += out.back() == '[' ? "{\"ph\":\"" : ",{\"ph\":\"";
+        out += phase;
+        out += "\",\"pid\":1,\"tid\":" + std::to_string(track);
+    };
 
     // Thread-name metadata so tracks show readable labels.
     for (const auto &[name, id] : tracks_) {
-        std::snprintf(buf, sizeof(buf),
-                      "%s{\"ph\":\"M\",\"pid\":1,\"tid\":%d,"
-                      "\"name\":\"thread_name\",\"args\":{\"name\":"
-                      "\"%s\"}}",
-                      first ? "" : ",", id, jsonEscape(name).c_str());
-        out += buf;
-        first = false;
+        begin('M', id);
+        out += ",\"name\":\"thread_name\",\"args\":{\"name\":";
+        appendJsonString(out, name);
+        out += "}}";
     }
 
     for (const auto &e : events_) {
-        if (e.phase == 'X') {
-            std::snprintf(buf, sizeof(buf),
-                          "%s{\"ph\":\"X\",\"pid\":1,\"tid\":%d,"
-                          "\"name\":\"%s\",\"cat\":\"%s\","
-                          "\"ts\":%.3f,\"dur\":%.3f}",
-                          first ? "" : ",", e.track,
-                          jsonEscape(e.name).c_str(),
-                          jsonEscape(e.category).c_str(), e.start * 1e6,
-                          e.duration * 1e6);
-        } else if (e.phase == 'C') {
-            std::snprintf(buf, sizeof(buf),
-                          "%s{\"ph\":\"C\",\"pid\":1,\"tid\":%d,"
-                          "\"name\":\"%s\",\"ts\":%.3f,"
-                          "\"args\":{\"value\":%g}}",
-                          first ? "" : ",", e.track,
-                          jsonEscape(e.name).c_str(), e.start * 1e6,
-                          e.duration);
-        } else {
-            std::snprintf(buf, sizeof(buf),
-                          "%s{\"ph\":\"i\",\"pid\":1,\"tid\":%d,"
-                          "\"name\":\"%s\",\"cat\":\"%s\","
-                          "\"ts\":%.3f,\"s\":\"t\"}",
-                          first ? "" : ",", e.track,
-                          jsonEscape(e.name).c_str(),
-                          jsonEscape(e.category).c_str(), e.start * 1e6);
+        begin(e.phase, e.track);
+        out += ",\"name\":";
+        appendJsonString(out, e.name);
+        if (e.phase != 'C') {
+            out += ",\"cat\":";
+            appendJsonString(out, e.category);
         }
-        out += buf;
-        first = false;
+        out += ",\"ts\":";
+        appendNumber(out, e.start * 1e6, NumberFormat::Fixed3);
+        if (e.phase == 'X') {
+            out += ",\"dur\":";
+            appendNumber(out, e.duration * 1e6, NumberFormat::Fixed3);
+        } else if (e.phase == 'C') {
+            out += ",\"args\":{\"value\":";
+            appendNumber(out, e.duration, NumberFormat::Short);
+            out += '}';
+        } else {
+            out += ",\"s\":\"t\"";
+        }
+        out += '}';
     }
-    out += "]}";
-    return out;
+    return out + "]}";
 }
 
 bool

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdarg>
-#include <cstring>
-#include <sstream>
 
+#include "common/field_writer.hh"
 #include "common/logging.hh"
 #include "common/math_util.hh"
 #include "sim/schedule_source.hh"
@@ -14,17 +12,6 @@
 namespace tb {
 
 namespace {
-
-std::string
-fmt(const char *f, ...)
-{
-    char buf[256];
-    va_list ap;
-    va_start(ap, f);
-    std::vsnprintf(buf, sizeof(buf), f, ap);
-    va_end(ap);
-    return std::string(buf);
-}
 
 /** Train-box slots a job's accelerators occupy (preset-independent). */
 std::size_t
@@ -93,33 +80,33 @@ FleetConfig::validate() const
     if (jobs.empty())
         return "empty job trace";
     if (horizon < 0.0)
-        return fmt("negative horizon %g", horizon);
+        return csprintf("negative horizon %g", horizon);
 
     std::size_t max_boxes = 0;
     for (const FleetHostSpec &h : hosts) {
         if (h.boxCapacity == 0)
-            return fmt("host %s has zero capacity", h.name.c_str());
+            return csprintf("host %s has zero capacity", h.name.c_str());
         max_boxes = std::max(max_boxes, h.boxCapacity);
     }
 
     for (std::size_t i = 0; i < jobs.size(); ++i) {
         const FleetJobSpec &spec = jobs[i];
         if (spec.name.empty())
-            return fmt("job %zu has no name", i);
+            return csprintf("job %zu has no name", i);
         if (spec.arrival < 0.0)
-            return fmt("job %s arrives at %g < 0", spec.name.c_str(),
-                       spec.arrival);
+            return csprintf("job %s arrives at %g < 0", spec.name.c_str(),
+                            spec.arrival);
         if (spec.measureSteps == 0)
-            return fmt("job %s has zero measured steps",
-                       spec.name.c_str());
+            return csprintf("job %s has zero measured steps",
+                            spec.name.c_str());
         for (std::size_t k = 0; k < i; ++k)
             if (jobs[k].name == spec.name)
-                return fmt("duplicate job name %s", spec.name.c_str());
+                return csprintf("duplicate job name %s", spec.name.c_str());
         const std::size_t need = boxesFor(spec);
         if (need > max_boxes)
-            return fmt("job %s needs %zu boxes but the largest host "
-                       "has %zu",
-                       spec.name.c_str(), need, max_boxes);
+            return csprintf("job %s needs %zu boxes but the largest host "
+                            "has %zu",
+                            spec.name.c_str(), need, max_boxes);
     }
 
     if (!faults.enabled)
@@ -128,14 +115,14 @@ FleetConfig::validate() const
     // --- retry policy ---------------------------------------------------
     constexpr std::size_t kMaxRetries = 64;
     if (faults.maxRetries > kMaxRetries)
-        return fmt("faults.maxRetries %zu exceeds the cap %zu",
-                   faults.maxRetries, kMaxRetries);
+        return csprintf("faults.maxRetries %zu exceeds the cap %zu",
+                        faults.maxRetries, kMaxRetries);
     if (faults.retryBackoffBase < 0.0)
-        return fmt("faults.retryBackoffBase must be >= 0, got %g",
-                   faults.retryBackoffBase);
+        return csprintf("faults.retryBackoffBase must be >= 0, got %g",
+                        faults.retryBackoffBase);
     if (faults.retryBackoffFactor < 1.0)
-        return fmt("faults.retryBackoffFactor must be >= 1, got %g",
-                   faults.retryBackoffFactor);
+        return csprintf("faults.retryBackoffFactor must be >= 1, got %g",
+                        faults.retryBackoffFactor);
 
     // --- seeded classes -------------------------------------------------
     struct NamedClass
@@ -150,15 +137,15 @@ FleetConfig::validate() const
     };
     for (const NamedClass &nc : classes) {
         if (nc.cc->mtbf < 0.0)
-            return fmt("faults.%s.mtbf must be >= 0, got %g", nc.name,
-                       nc.cc->mtbf);
+            return csprintf("faults.%s.mtbf must be >= 0, got %g", nc.name,
+                            nc.cc->mtbf);
         if (nc.cc->mttr < 0.0)
-            return fmt("faults.%s.mttr must be >= 0, got %g", nc.name,
-                       nc.cc->mttr);
+            return csprintf("faults.%s.mttr must be >= 0, got %g", nc.name,
+                            nc.cc->mttr);
         if (nc.cc->mtbf > 0.0 && horizon <= 0.0)
-            return fmt("faults.%s.mtbf %g needs a positive horizon "
-                       "(seeded streams are enumerated over it)",
-                       nc.name, nc.cc->mtbf);
+            return csprintf("faults.%s.mtbf %g needs a positive horizon "
+                            "(seeded streams are enumerated over it)",
+                            nc.name, nc.cc->mtbf);
     }
     if (faults.boxLoss.mtbf > 0.0 && faults.boxLossUnits == 0)
         return "faults.boxLossUnits must be >= 1 when boxLoss is active";
@@ -170,24 +157,24 @@ FleetConfig::validate() const
     for (std::size_t i = 0; i < faults.schedule.size(); ++i) {
         const FleetFaultEvent &ev = faults.schedule[i];
         if (ev.start < 0.0)
-            return fmt("faults.schedule[%zu] starts at %g < 0", i,
-                       ev.start);
+            return csprintf("faults.schedule[%zu] starts at %g < 0", i,
+                            ev.start);
         if (ev.duration < 0.0)
-            return fmt("faults.schedule[%zu] has negative duration %g",
-                       i, ev.duration);
+            return csprintf("faults.schedule[%zu] has negative duration %g",
+                            i, ev.duration);
         if (i > 0 && ev.start < faults.schedule[i - 1].start)
-            return fmt("faults.schedule[%zu] starts at %g, before "
-                       "schedule[%zu] at %g (must be sorted)",
-                       i, ev.start, i - 1,
-                       faults.schedule[i - 1].start);
+            return csprintf("faults.schedule[%zu] starts at %g, before "
+                            "schedule[%zu] at %g (must be sorted)",
+                            i, ev.start, i - 1,
+                            faults.schedule[i - 1].start);
         if (ev.kind != FleetFaultKind::PoolPartition &&
             ev.host >= hosts.size())
-            return fmt("faults.schedule[%zu] targets host %zu but the "
-                       "fleet has only %zu hosts",
-                       i, ev.host, hosts.size());
+            return csprintf("faults.schedule[%zu] targets host %zu but the "
+                            "fleet has only %zu hosts",
+                            i, ev.host, hosts.size());
         if (ev.kind != FleetFaultKind::HostOutage && ev.units == 0)
-            return fmt("faults.schedule[%zu] (%s) has zero units", i,
-                       fleetFaultKindName(ev.kind));
+            return csprintf("faults.schedule[%zu] (%s) has zero units", i,
+                            fleetFaultKindName(ev.kind));
     }
     return "";
 }
@@ -797,200 +784,80 @@ runFleet(FleetConfig cfg)
 
 // --- FleetReport exporters -----------------------------------------------
 
-namespace {
-
-/** JSON string escaping for names (conservative: quotes + backslash). */
-std::string
-jsonEscape(const std::string &s)
+void
+FleetReport::writeFields(FieldWriter &w) const
 {
-    std::string out;
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out.push_back('\\');
-        out.push_back(c);
-    }
-    return out;
-}
+    constexpr NumberFormat kF6 = NumberFormat::Fixed6;
+    w.field("policy", policy).field("jobs_total", jobsTotal)
+        .field("jobs_completed", jobsCompleted)
+        .field("makespan_s", makespan, kF6)
+        .field("aggregate_throughput", aggregateThroughput, kF6)
+        .field("avg_queueing_delay_s", avgQueueingDelay, kF6)
+        .field("max_queueing_delay_s", maxQueueingDelay, kF6)
+        .field("jobs_queued", jobsQueued)
+        .field("pool_fpgas_total", poolFpgasTotal)
+        .field("pool_fpgas_requested", poolFpgasRequestedTotal)
+        .field("pool_fpgas_granted", poolFpgasGrantedTotal)
+        .field("jobs_pool_constrained", jobsPoolConstrained)
+        .field("pool_fairness", poolFairness, kF6)
+        .field("straggler_ratio", stragglerRatio, kF6)
+        .field("preemptions", preemptions)
+        .field("faults_injected", faultsInjected)
+        .field("events_executed", eventsExecuted)
+        .field("jobs_abandoned", jobsAbandoned)
+        .field("jobs_running_at_horizon", jobsRunningAtHorizon)
+        .field("jobs_queued_at_horizon", jobsQueuedAtHorizon)
+        .field("restarts_total", restartsTotal)
+        .field("steps_lost_total", stepsLostTotal)
+        .field("work_lost_s", workLostTime, kF6)
+        .field("avg_replacement_latency_s", avgReplacementLatency, kF6)
+        .field("max_replacement_latency_s", maxReplacementLatency, kF6)
+        .field("fleet_faults_injected", fleetFaultsInjected)
+        .field("host_down_time_s", hostDownTime, kF6);
 
-} // namespace
+    w.beginList("retry_histogram", FieldWriter::Layout::Inline);
+    for (std::size_t i = 0; i < retryHistogram.size(); ++i)
+        w.field(std::to_string(i), retryHistogram[i]);
+    w.end();
+
+    w.beginList("jobs", FieldWriter::Layout::Lines);
+    for (const FleetJobResult &j : jobs) {
+        const bool done = j.completed;
+        w.beginObject(j.job, FieldWriter::Layout::Inline)
+            .field("name", j.job).field("host", j.host)
+            .field("priority", j.priority).field("arrival_s", j.arrival, kF6)
+            .field("started_s", j.started, kF6)
+            .field("finished_s", j.finished, kF6)
+            .field("queueing_delay_s", j.queueingDelay, kF6)
+            .field("boxes", j.boxesUsed)
+            .field("pool_fpgas_requested", j.poolFpgasRequested)
+            .field("pool_fpgas_granted", j.poolFpgasGranted)
+            .field("pool_constrained", j.poolConstrained)
+            .field("admitted", j.admitted).field("completed", done)
+            .field("throughput", done ? j.report.throughput() : 0.0, kF6)
+            .field("wall_time_s", done ? j.report.wallTime() : 0.0, kF6)
+            .field("state", fleetJobStateName(j.state))
+            .field("restarts", j.restarts).field("steps_lost", j.stepsLost)
+            .field("work_lost_s", j.workLost, kF6)
+            .field("replacement_latency_s", j.replacementLatency, kF6).end();
+    }
+    w.end();
+}
 
 std::string
 FleetReport::toJson() const
 {
-    std::ostringstream out;
-    char buf[256];
-    out << "{\n";
-    out << "  \"policy\": \"" << jsonEscape(policy) << "\",\n";
-    std::snprintf(
-        buf, sizeof(buf),
-        "  \"jobs_total\": %zu,\n  \"jobs_completed\": %zu,\n"
-        "  \"makespan_s\": %.6f,\n  \"aggregate_throughput\": %.6f,\n",
-        jobsTotal, jobsCompleted, makespan, aggregateThroughput);
-    out << buf;
-    std::snprintf(
-        buf, sizeof(buf),
-        "  \"avg_queueing_delay_s\": %.6f,\n"
-        "  \"max_queueing_delay_s\": %.6f,\n  \"jobs_queued\": %zu,\n",
-        avgQueueingDelay, maxQueueingDelay, jobsQueued);
-    out << buf;
-    std::snprintf(
-        buf, sizeof(buf),
-        "  \"pool_fpgas_total\": %zu,\n"
-        "  \"pool_fpgas_requested\": %zu,\n"
-        "  \"pool_fpgas_granted\": %zu,\n"
-        "  \"jobs_pool_constrained\": %zu,\n"
-        "  \"pool_fairness\": %.6f,\n",
-        poolFpgasTotal, poolFpgasRequestedTotal, poolFpgasGrantedTotal,
-        jobsPoolConstrained, poolFairness);
-    out << buf;
-    std::snprintf(buf, sizeof(buf),
-                  "  \"straggler_ratio\": %.6f,\n"
-                  "  \"preemptions\": %zu,\n"
-                  "  \"faults_injected\": %zu,\n"
-                  "  \"events_executed\": %llu,\n",
-                  stragglerRatio, preemptions, faultsInjected,
-                  static_cast<unsigned long long>(eventsExecuted));
-    out << buf;
-    std::snprintf(buf, sizeof(buf),
-                  "  \"jobs_abandoned\": %zu,\n"
-                  "  \"jobs_running_at_horizon\": %zu,\n"
-                  "  \"jobs_queued_at_horizon\": %zu,\n"
-                  "  \"restarts_total\": %zu,\n"
-                  "  \"steps_lost_total\": %zu,\n",
-                  jobsAbandoned, jobsRunningAtHorizon,
-                  jobsQueuedAtHorizon, restartsTotal, stepsLostTotal);
-    out << buf;
-    std::snprintf(buf, sizeof(buf),
-                  "  \"work_lost_s\": %.6f,\n"
-                  "  \"avg_replacement_latency_s\": %.6f,\n"
-                  "  \"max_replacement_latency_s\": %.6f,\n"
-                  "  \"fleet_faults_injected\": %zu,\n"
-                  "  \"host_down_time_s\": %.6f,\n",
-                  workLostTime, avgReplacementLatency,
-                  maxReplacementLatency, fleetFaultsInjected,
-                  hostDownTime);
-    out << buf;
-    out << "  \"retry_histogram\": [";
-    for (std::size_t i = 0; i < retryHistogram.size(); ++i)
-        out << (i ? ", " : "") << retryHistogram[i];
-    out << "],\n";
-    out << "  \"jobs\": [\n";
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        const FleetJobResult &j = jobs[i];
-        out << "    {\"name\": \"" << jsonEscape(j.job) << "\", "
-            << "\"host\": \"" << jsonEscape(j.host) << "\", ";
-        std::snprintf(
-            buf, sizeof(buf),
-            "\"priority\": %d, \"arrival_s\": %.6f, "
-            "\"started_s\": %.6f, \"finished_s\": %.6f, "
-            "\"queueing_delay_s\": %.6f, \"boxes\": %zu, ",
-            j.priority, j.arrival, j.started, j.finished,
-            j.queueingDelay, j.boxesUsed);
-        out << buf;
-        std::snprintf(
-            buf, sizeof(buf),
-            "\"pool_fpgas_requested\": %zu, \"pool_fpgas_granted\": %zu, "
-            "\"pool_constrained\": %s, \"admitted\": %s, "
-            "\"completed\": %s, \"throughput\": %.6f, "
-            "\"wall_time_s\": %.6f, ",
-            j.poolFpgasRequested, j.poolFpgasGranted,
-            j.poolConstrained ? "true" : "false",
-            j.admitted ? "true" : "false",
-            j.completed ? "true" : "false",
-            j.completed ? j.report.throughput() : 0.0,
-            j.completed ? j.report.wallTime() : 0.0);
-        out << buf;
-        std::snprintf(
-            buf, sizeof(buf),
-            "\"state\": \"%s\", \"restarts\": %zu, "
-            "\"steps_lost\": %zu, \"work_lost_s\": %.6f, "
-            "\"replacement_latency_s\": %.6f}%s\n",
-            fleetJobStateName(j.state), j.restarts, j.stepsLost,
-            j.workLost, j.replacementLatency,
-            i + 1 < jobs.size() ? "," : "");
-        out << buf;
-    }
-    out << "  ]\n";
-    out << "}\n";
-    return out.str();
+    FieldWriter w;
+    writeFields(w);
+    return w.finish();
 }
 
 std::string
 FleetReport::toCsv() const
 {
-    std::ostringstream out;
-    char buf[192];
-    out << "section,key,value\n";
-    out << "fleet,policy," << policy << "\n";
-    std::snprintf(buf, sizeof(buf),
-                  "fleet,jobs_total,%zu\nfleet,jobs_completed,%zu\n"
-                  "fleet,makespan_s,%.6f\n"
-                  "fleet,aggregate_throughput,%.6f\n"
-                  "fleet,avg_queueing_delay_s,%.6f\n"
-                  "fleet,max_queueing_delay_s,%.6f\n",
-                  jobsTotal, jobsCompleted, makespan,
-                  aggregateThroughput, avgQueueingDelay,
-                  maxQueueingDelay);
-    out << buf;
-    std::snprintf(buf, sizeof(buf),
-                  "fleet,pool_fpgas_total,%zu\n"
-                  "fleet,pool_fpgas_requested,%zu\n"
-                  "fleet,pool_fpgas_granted,%zu\n"
-                  "fleet,pool_fairness,%.6f\n"
-                  "fleet,straggler_ratio,%.6f\n"
-                  "fleet,preemptions,%zu\n"
-                  "fleet,events_executed,%llu\n",
-                  poolFpgasTotal, poolFpgasRequestedTotal,
-                  poolFpgasGrantedTotal, poolFairness, stragglerRatio,
-                  preemptions,
-                  static_cast<unsigned long long>(eventsExecuted));
-    out << buf;
-    std::snprintf(buf, sizeof(buf),
-                  "fleet,jobs_abandoned,%zu\n"
-                  "fleet,jobs_running_at_horizon,%zu\n"
-                  "fleet,jobs_queued_at_horizon,%zu\n"
-                  "fleet,restarts_total,%zu\n"
-                  "fleet,steps_lost_total,%zu\n"
-                  "fleet,work_lost_s,%.6f\n",
-                  jobsAbandoned, jobsRunningAtHorizon,
-                  jobsQueuedAtHorizon, restartsTotal, stepsLostTotal,
-                  workLostTime);
-    out << buf;
-    std::snprintf(buf, sizeof(buf),
-                  "fleet,avg_replacement_latency_s,%.6f\n"
-                  "fleet,max_replacement_latency_s,%.6f\n"
-                  "fleet,fleet_faults_injected,%zu\n"
-                  "fleet,host_down_time_s,%.6f\n",
-                  avgReplacementLatency, maxReplacementLatency,
-                  fleetFaultsInjected, hostDownTime);
-    out << buf;
-    for (const FleetJobResult &j : jobs) {
-        const std::string sec = "job." + j.job;
-        out << sec << ",host," << j.host << "\n";
-        std::snprintf(buf, sizeof(buf),
-                      "%s,arrival_s,%.6f\n%s,queueing_delay_s,%.6f\n"
-                      "%s,pool_fpgas_requested,%zu\n"
-                      "%s,pool_fpgas_granted,%zu\n"
-                      "%s,completed,%d\n",
-                      sec.c_str(), j.arrival, sec.c_str(),
-                      j.queueingDelay, sec.c_str(), j.poolFpgasRequested,
-                      sec.c_str(), j.poolFpgasGranted, sec.c_str(),
-                      j.completed ? 1 : 0);
-        out << buf;
-        std::snprintf(buf, sizeof(buf),
-                      "%s,state,%s\n%s,restarts,%zu\n",
-                      sec.c_str(), fleetJobStateName(j.state),
-                      sec.c_str(), j.restarts);
-        out << buf;
-        if (j.completed) {
-            std::snprintf(buf, sizeof(buf),
-                          "%s,throughput,%.6f\n%s,wall_time_s,%.6f\n",
-                          sec.c_str(), j.report.throughput(),
-                          sec.c_str(), j.report.wallTime());
-            out << buf;
-        }
-    }
-    return out.str();
+    FieldWriter w("fleet");
+    writeFields(w);
+    return w.finish();
 }
 
 void
@@ -1030,15 +897,10 @@ FleetReport::print(std::FILE *out) const
                  "job", "host", "prio", "arrival", "queued_s",
                  "wall_s", "pool", "grant", "samples/s");
     for (const FleetJobResult &j : jobs) {
-        char note[48];
-        if (j.completed && j.restarts > 0)
-            std::snprintf(note, sizeof(note), "  (%zu restarts)",
-                          j.restarts);
-        else if (!j.completed)
-            std::snprintf(note, sizeof(note), "  (%s)",
-                          fleetJobStateName(j.state));
-        else
-            note[0] = '\0';
+        const std::string note =
+            !j.completed     ? csprintf("  (%s)", fleetJobStateName(j.state))
+            : j.restarts > 0 ? csprintf("  (%zu restarts)", j.restarts)
+                             : "";
         std::fprintf(
             out, "%-12s %-10s %4d %10.3f %10.3f %10.3f %6zu %6zu %12.1f%s\n",
             j.job.c_str(), j.admitted ? j.host.c_str() : "-", j.priority,
@@ -1046,7 +908,7 @@ FleetReport::print(std::FILE *out) const
             j.completed ? j.report.wallTime() : 0.0,
             j.poolFpgasRequested, j.poolFpgasGranted,
             j.completed ? j.report.throughput() : 0.0,
-            note);
+            note.c_str());
     }
 }
 

@@ -316,10 +316,11 @@ struct FleetReport
     /** Events executed on the shared core over the whole run. */
     std::uint64_t eventsExecuted = 0;
 
-    /** Serialize as JSON (schema in docs/FLEET.md). */
-    std::string toJson() const;
+    /** The one field list, in JSON order (schema in docs/FLEET.md). */
+    void writeFields(FieldWriter &w) const;
 
-    /** Serialize as "section,key,value" CSV rows (per-job sections). */
+    /** writeFields() as JSON, and as "section,key,value" CSV rows. */
+    std::string toJson() const;
     std::string toCsv() const;
 
     /** Human-readable summary (the tb_report --fleet default). */

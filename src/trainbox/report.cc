@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstring>
 
+#include "common/field_writer.hh"
 #include "common/logging.hh"
 #include "common/math_util.hh"
 #include "common/table.hh"
@@ -25,66 +26,6 @@ isTransferStage(const std::string &name)
         if (name == t)
             return true;
     return false;
-}
-
-void
-appendEscaped(std::string &out, const std::string &s)
-{
-    for (char c : s) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          default:
-            out += c;
-        }
-    }
-}
-
-std::string
-jstr(const std::string &s)
-{
-    std::string out = "\"";
-    appendEscaped(out, s);
-    out += '"';
-    return out;
-}
-
-std::string
-jnum(double v)
-{
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.12g", v);
-    return buf;
-}
-
-/** Fixed-precision percent — keeps the golden-JSON test stable. */
-std::string
-jpct(double fraction)
-{
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.4f", 100.0 * fraction);
-    return buf;
-}
-
-void
-jsonMap(std::string &out, const std::map<std::string, double> &by)
-{
-    out += '{';
-    bool first = true;
-    for (const auto &[k, v] : by) {
-        if (!first)
-            out += ", ";
-        first = false;
-        out += jstr(k) + ": " + jnum(v);
-    }
-    out += '}';
 }
 
 } // namespace
@@ -489,324 +430,149 @@ SessionReport::bottlenecks() const
     return ranked;
 }
 
+void
+SessionReport::writeFields(FieldWriter &w) const
+{
+    constexpr FieldWriter::Layout kInline = FieldWriter::Layout::Inline;
+    constexpr NumberFormat kPct = NumberFormat::Percent;
+    const LatencyBreakdown lat = latency();
+
+    w.beginObject("config", kInline)
+        .field("preset", preset).field("model", model)
+        .field("accelerators", numAccelerators)
+        .field("batch_size", batchSize).end();
+    w.beginObject("throughput", kInline)
+        .field("samples_per_sec", result.throughput)
+        .field("target_samples_per_sec", targetThroughput)
+        .field("target_fraction", targetFraction())
+        .field("step_time_sec", result.stepTime)
+        .field("compute_time_sec", result.computeTime)
+        .field("sync_time_sec", result.syncTime)
+        .field("prep_latency_sec", result.prepLatency)
+        .field("steps_measured", result.stepsMeasured).end();
+    w.beginObject("latency_breakdown_pct", kInline)
+        .field("transfer", lat.share(lat.transfer), kPct)
+        .field("formatting", lat.share(lat.formatting), kPct)
+        .field("augmentation", lat.share(lat.augmentation), kPct)
+        .field("compute", lat.share(lat.compute), kPct)
+        .field("sync", lat.share(lat.sync), kPct)
+        .field("prep_total", lat.prepShare(), kPct).end();
+    w.map("prep_stage_time_sec", result.prepStageTime);
+
+    w.beginObject("host_demand", FieldWriter::Layout::Lines);
+    w.beginObject("cpu_cores", kInline).field("total", hostCpuCores())
+        .map("by_category", result.cpuCoresByCategory).end();
+    w.beginObject("mem_bw", kInline).field("total", hostMemBw())
+        .map("by_category", result.memBwByCategory).end();
+    w.beginObject("rc_bw", kInline).field("total", hostRcBw())
+        .map("by_category", result.rcBwByCategory).end();
+    w.end();
+
+    w.beginObject("robustness", kInline).field("efficiency", efficiency())
+        .field("availability", availability())
+        .field("faults_injected", result.faults.faultsInjected)
+        .field("checkpoints_committed", result.checkpoint.committed)
+        .field("steps_lost", result.checkpoint.stepsLost).end();
+
+    const SessionResult::ElasticityStats &el = result.elasticity;
+    w.beginObject("elasticity", kInline)
+        .field("events", el.events).field("drains", el.drains)
+        .field("preemptions", el.preemptions).field("joins", el.joins)
+        .field("chains_rebalanced", el.chainsRebalanced)
+        .field("samples_lost_to_preemption", el.samplesLostToPreemption)
+        .field("samples_saved_by_drain", el.samplesSavedByDrain)
+        .field("samples_dropped_at_drain", el.samplesDroppedAtDrain)
+        .field("degraded_capacity_time_sec", el.degradedCapacityTime)
+        .field("zero_capacity_time_sec", el.zeroCapacityTime)
+        .field("rebalance_time_sec", el.rebalanceTime)
+        .field("avg_active_fraction", el.avgActiveFraction)
+        .field("capacity_availability", capacityAvailability())
+        .field("slo_target_samples_per_sec", el.sloTargetSamplesPerSec)
+        .field("slo_attainment", sloAttainment())
+        .beginObject("ledger", kInline).field("prepared", el.samplesPrepared)
+        .field("consumed", el.samplesConsumed)
+        .field("cached_at_end", el.samplesCachedAtEnd)
+        .field("discarded", el.samplesDiscarded).end().end();
+
+    const SessionResult::IngestStats &in = result.ingest;
+    w.beginObject("ingest", kInline).field("arrival_events", in.arrivalEvents)
+        .field("overload_trips", in.overloadTrips)
+        .field("stalls", in.stalls).field("write_flows", in.writeFlows)
+        .field("write_retries", in.writeRetries)
+        .field("write_failures", in.writeFailures)
+        .field("admit_rate", ingestAdmitRate())
+        .field("shed_rate", ingestShedRate())
+        .field("overload_time_sec", in.overloadTime)
+        .field("stall_time_sec", in.stallTime)
+        .field("peak_buffer_level", in.peakBufferLevel)
+        .field("samples_echoed", in.samplesEchoed)
+        .field("echo_effective_factor", echoEffectiveFactor())
+        .field("avg_staleness_sec", avgIngestStaleness())
+        .field("max_staleness_sec", in.stalenessMax)
+        .field("staleness_slo_sec", in.stalenessSloSec)
+        .field("freshness_slo_attainment", freshnessSloAttainment())
+        .beginObject("ledger", kInline).field("arrived", in.samplesArrived)
+        .field("admitted", in.samplesAdmitted).field("shed", in.samplesShed)
+        .field("throttled", in.samplesThrottled)
+        .field("shed_policy", in.samplesShedPolicy)
+        .field("overflow_dropped", in.samplesOverflowDropped)
+        .field("abandoned_writes", in.samplesAbandonedWrites)
+        .field("in_flight_at_end", in.samplesInFlightAtEnd).end().end();
+
+    const SessionResult::IntegrityStats &integ = result.integrity;
+    w.beginObject("integrity", kInline).field("injected", integ.injected)
+        .field("detected", integ.detected).field("escaped", integ.escaped)
+        .field("escape_rate", integ.escapeRate())
+        .field("pcie_replays", integ.pcieReplays)
+        .field("recoveries", integ.recoveries)
+        .field("chunks_quarantined", integ.chunksQuarantined)
+        .beginObject("by_kind", kInline);
+    for (std::size_t k = 0; k < kNumCorruptionKinds; ++k)
+        w.field(corruptionKindName(static_cast<CorruptionKind>(k)),
+                integ.injectedByKind[k]);
+    w.end().end();
+
+    w.beginObject("prep_quarantine", kInline)
+        .field("items_processed", prepItemsProcessed)
+        .field("quarantined", prepItemsQuarantined())
+        .map("by_reason", prepQuarantineByReason).end();
+
+    w.field("has_metrics", hasMetrics);
+    w.beginList("utilization", FieldWriter::Layout::Lines);
+    for (const ResourceUsage &u : resources)
+        w.beginObject(u.name, kInline)
+            .field("resource", u.name).field("kind", u.kind)
+            .field("utilization", u.utilization).field("peak", u.peak)
+            .field("saturated_fraction", u.saturatedFraction)
+            .field("dominant_category", u.dominantCategory).end();
+    w.end();
+
+    w.beginList("bottlenecks", FieldWriter::Layout::Lines);
+    std::size_t rank = 0;
+    for (const Bottleneck &b : bottlenecks()) {
+        const std::string id = std::to_string(++rank);
+        w.beginObject(id, kInline).field("rank", rank).field("kind", b.kind)
+            .field("resource", b.resource).field("utilization", b.utilization)
+            .field("saturated_fraction", b.saturatedFraction)
+            .field("dominant_category", b.dominantCategory).end();
+    }
+    w.end();
+}
+
 std::string
 SessionReport::toJson() const
 {
-    const LatencyBreakdown lat = latency();
-    std::string out = "{\n";
-
-    out += "  \"config\": {\"preset\": " + jstr(preset) +
-           ", \"model\": " + jstr(model) +
-           ", \"accelerators\": " + jnum(double(numAccelerators)) +
-           ", \"batch_size\": " + jnum(double(batchSize)) + "},\n";
-
-    out += "  \"throughput\": {\"samples_per_sec\": " +
-           jnum(result.throughput) +
-           ", \"target_samples_per_sec\": " + jnum(targetThroughput) +
-           ", \"target_fraction\": " + jnum(targetFraction()) +
-           ", \"step_time_sec\": " + jnum(result.stepTime) +
-           ", \"compute_time_sec\": " + jnum(result.computeTime) +
-           ", \"sync_time_sec\": " + jnum(result.syncTime) +
-           ", \"prep_latency_sec\": " + jnum(result.prepLatency) +
-           ", \"steps_measured\": " +
-           jnum(double(result.stepsMeasured)) + "},\n";
-
-    out += "  \"latency_breakdown_pct\": {\"transfer\": " +
-           jpct(lat.share(lat.transfer)) +
-           ", \"formatting\": " + jpct(lat.share(lat.formatting)) +
-           ", \"augmentation\": " + jpct(lat.share(lat.augmentation)) +
-           ", \"compute\": " + jpct(lat.share(lat.compute)) +
-           ", \"sync\": " + jpct(lat.share(lat.sync)) +
-           ", \"prep_total\": " + jpct(lat.prepShare()) + "},\n";
-
-    out += "  \"prep_stage_time_sec\": ";
-    jsonMap(out, result.prepStageTime);
-    out += ",\n";
-
-    out += "  \"host_demand\": {\n";
-    out += "    \"cpu_cores\": {\"total\": " + jnum(hostCpuCores()) +
-           ", \"by_category\": ";
-    jsonMap(out, result.cpuCoresByCategory);
-    out += "},\n";
-    out += "    \"mem_bw\": {\"total\": " + jnum(hostMemBw()) +
-           ", \"by_category\": ";
-    jsonMap(out, result.memBwByCategory);
-    out += "},\n";
-    out += "    \"rc_bw\": {\"total\": " + jnum(hostRcBw()) +
-           ", \"by_category\": ";
-    jsonMap(out, result.rcBwByCategory);
-    out += "}\n  },\n";
-
-    out += "  \"robustness\": {\"efficiency\": " + jnum(efficiency()) +
-           ", \"availability\": " + jnum(availability()) +
-           ", \"faults_injected\": " +
-           jnum(double(result.faults.faultsInjected)) +
-           ", \"checkpoints_committed\": " +
-           jnum(double(result.checkpoint.committed)) +
-           ", \"steps_lost\": " +
-           jnum(double(result.checkpoint.stepsLost)) + "},\n";
-
-    const SessionResult::ElasticityStats &el = result.elasticity;
-    out += "  \"elasticity\": {\"events\": " + jnum(double(el.events)) +
-           ", \"drains\": " + jnum(double(el.drains)) +
-           ", \"preemptions\": " + jnum(double(el.preemptions)) +
-           ", \"joins\": " + jnum(double(el.joins)) +
-           ", \"chains_rebalanced\": " +
-           jnum(double(el.chainsRebalanced)) +
-           ", \"samples_lost_to_preemption\": " +
-           jnum(el.samplesLostToPreemption) +
-           ", \"samples_saved_by_drain\": " +
-           jnum(el.samplesSavedByDrain) +
-           ", \"samples_dropped_at_drain\": " +
-           jnum(el.samplesDroppedAtDrain) +
-           ", \"degraded_capacity_time_sec\": " +
-           jnum(el.degradedCapacityTime) +
-           ", \"zero_capacity_time_sec\": " + jnum(el.zeroCapacityTime) +
-           ", \"rebalance_time_sec\": " + jnum(el.rebalanceTime) +
-           ", \"avg_active_fraction\": " + jnum(el.avgActiveFraction) +
-           ", \"capacity_availability\": " +
-           jnum(capacityAvailability()) +
-           ", \"slo_target_samples_per_sec\": " +
-           jnum(el.sloTargetSamplesPerSec) +
-           ", \"slo_attainment\": " + jnum(sloAttainment()) +
-           ", \"ledger\": {\"prepared\": " + jnum(el.samplesPrepared) +
-           ", \"consumed\": " + jnum(el.samplesConsumed) +
-           ", \"cached_at_end\": " + jnum(el.samplesCachedAtEnd) +
-           ", \"discarded\": " + jnum(el.samplesDiscarded) + "}},\n";
-
-    const SessionResult::IngestStats &in = result.ingest;
-    out += "  \"ingest\": {\"arrival_events\": " +
-           jnum(double(in.arrivalEvents)) +
-           ", \"overload_trips\": " + jnum(double(in.overloadTrips)) +
-           ", \"stalls\": " + jnum(double(in.stalls)) +
-           ", \"write_flows\": " + jnum(double(in.writeFlows)) +
-           ", \"write_retries\": " + jnum(double(in.writeRetries)) +
-           ", \"write_failures\": " + jnum(double(in.writeFailures)) +
-           ", \"admit_rate\": " + jnum(ingestAdmitRate()) +
-           ", \"shed_rate\": " + jnum(ingestShedRate()) +
-           ", \"overload_time_sec\": " + jnum(in.overloadTime) +
-           ", \"stall_time_sec\": " + jnum(in.stallTime) +
-           ", \"peak_buffer_level\": " + jnum(in.peakBufferLevel) +
-           ", \"samples_echoed\": " + jnum(in.samplesEchoed) +
-           ", \"echo_effective_factor\": " + jnum(echoEffectiveFactor()) +
-           ", \"avg_staleness_sec\": " + jnum(avgIngestStaleness()) +
-           ", \"max_staleness_sec\": " + jnum(in.stalenessMax) +
-           ", \"staleness_slo_sec\": " + jnum(in.stalenessSloSec) +
-           ", \"freshness_slo_attainment\": " +
-           jnum(freshnessSloAttainment()) +
-           ", \"ledger\": {\"arrived\": " + jnum(in.samplesArrived) +
-           ", \"admitted\": " + jnum(in.samplesAdmitted) +
-           ", \"shed\": " + jnum(in.samplesShed) +
-           ", \"throttled\": " + jnum(in.samplesThrottled) +
-           ", \"shed_policy\": " + jnum(in.samplesShedPolicy) +
-           ", \"overflow_dropped\": " + jnum(in.samplesOverflowDropped) +
-           ", \"abandoned_writes\": " +
-           jnum(in.samplesAbandonedWrites) +
-           ", \"in_flight_at_end\": " +
-           jnum(in.samplesInFlightAtEnd) + "}},\n";
-
-    const SessionResult::IntegrityStats &integ = result.integrity;
-    out += "  \"integrity\": {\"injected\": " +
-           jnum(double(integ.injected)) +
-           ", \"detected\": " + jnum(double(integ.detected)) +
-           ", \"escaped\": " + jnum(double(integ.escaped)) +
-           ", \"escape_rate\": " + jnum(integ.escapeRate()) +
-           ", \"pcie_replays\": " + jnum(double(integ.pcieReplays)) +
-           ", \"recoveries\": " + jnum(double(integ.recoveries)) +
-           ", \"chunks_quarantined\": " +
-           jnum(double(integ.chunksQuarantined)) + ", \"by_kind\": {";
-    for (std::size_t k = 0; k < kNumCorruptionKinds; ++k) {
-        if (k > 0)
-            out += ", ";
-        out += jstr(corruptionKindName(static_cast<CorruptionKind>(k))) +
-               ": " + jnum(double(integ.injectedByKind[k]));
-    }
-    out += "}},\n";
-
-    out += "  \"prep_quarantine\": {\"items_processed\": " +
-           jnum(double(prepItemsProcessed)) + ", \"quarantined\": " +
-           jnum(double(prepItemsQuarantined())) + ", \"by_reason\": {";
-    {
-        bool first_reason = true;
-        for (const auto &[reason, n] : prepQuarantineByReason) {
-            if (!first_reason)
-                out += ", ";
-            first_reason = false;
-            out += jstr(reason) + ": " + jnum(double(n));
-        }
-    }
-    out += "}},\n";
-
-    out += "  \"has_metrics\": ";
-    out += hasMetrics ? "true" : "false";
-    out += ",\n  \"utilization\": [";
-    bool first = true;
-    for (const ResourceUsage &u : resources) {
-        out += first ? "\n" : ",\n";
-        first = false;
-        out += "    {\"resource\": " + jstr(u.name) +
-               ", \"kind\": " + jstr(u.kind) +
-               ", \"utilization\": " + jnum(u.utilization) +
-               ", \"peak\": " + jnum(u.peak) +
-               ", \"saturated_fraction\": " + jnum(u.saturatedFraction) +
-               ", \"dominant_category\": " + jstr(u.dominantCategory) +
-               "}";
-    }
-    out += first ? "],\n" : "\n  ],\n";
-
-    out += "  \"bottlenecks\": [";
-    first = true;
-    std::size_t rank = 1;
-    for (const Bottleneck &b : bottlenecks()) {
-        out += first ? "\n" : ",\n";
-        first = false;
-        out += "    {\"rank\": " + jnum(double(rank++)) +
-               ", \"kind\": " + jstr(b.kind) +
-               ", \"resource\": " + jstr(b.resource) +
-               ", \"utilization\": " + jnum(b.utilization) +
-               ", \"saturated_fraction\": " + jnum(b.saturatedFraction) +
-               ", \"dominant_category\": " + jstr(b.dominantCategory) +
-               "}";
-    }
-    out += first ? "]\n" : "\n  ]\n";
-    out += "}\n";
-    return out;
+    FieldWriter w;
+    writeFields(w);
+    return w.finish();
 }
 
 std::string
 SessionReport::toCsv() const
 {
-    const LatencyBreakdown lat = latency();
-    std::string out = "section,key,value\n";
-    auto row = [&out](const std::string &section, const std::string &key,
-                      const std::string &value) {
-        out += section + "," + key + "," + value + "\n";
-    };
-    row("config", "preset", preset);
-    row("config", "model", model);
-    row("config", "accelerators", jnum(double(numAccelerators)));
-    row("config", "batch_size", jnum(double(batchSize)));
-    row("throughput", "samples_per_sec", jnum(result.throughput));
-    row("throughput", "target_samples_per_sec", jnum(targetThroughput));
-    row("throughput", "step_time_sec", jnum(result.stepTime));
-    row("throughput", "compute_time_sec", jnum(result.computeTime));
-    row("throughput", "sync_time_sec", jnum(result.syncTime));
-    row("throughput", "prep_latency_sec", jnum(result.prepLatency));
-    row("latency_pct", "transfer", jpct(lat.share(lat.transfer)));
-    row("latency_pct", "formatting", jpct(lat.share(lat.formatting)));
-    row("latency_pct", "augmentation",
-        jpct(lat.share(lat.augmentation)));
-    row("latency_pct", "compute", jpct(lat.share(lat.compute)));
-    row("latency_pct", "sync", jpct(lat.share(lat.sync)));
-    row("latency_pct", "prep_total", jpct(lat.prepShare()));
-    for (const auto &[name, t] : result.prepStageTime)
-        row("prep_stage_time_sec", name, jnum(t));
-    row("host_demand", "cpu_cores", jnum(hostCpuCores()));
-    row("host_demand", "mem_bw", jnum(hostMemBw()));
-    row("host_demand", "rc_bw", jnum(hostRcBw()));
-    for (const auto &[cat, v] : result.cpuCoresByCategory)
-        row("cpu_by_category", cat, jnum(v));
-    for (const auto &[cat, v] : result.memBwByCategory)
-        row("mem_by_category", cat, jnum(v));
-    for (const auto &[cat, v] : result.rcBwByCategory)
-        row("rc_by_category", cat, jnum(v));
-    row("robustness", "efficiency", jnum(efficiency()));
-    row("robustness", "availability", jnum(availability()));
-    row("elasticity", "events", jnum(double(result.elasticity.events)));
-    row("elasticity", "drains", jnum(double(result.elasticity.drains)));
-    row("elasticity", "preemptions",
-        jnum(double(result.elasticity.preemptions)));
-    row("elasticity", "joins", jnum(double(result.elasticity.joins)));
-    row("elasticity", "chains_rebalanced",
-        jnum(double(result.elasticity.chainsRebalanced)));
-    row("elasticity", "samples_lost_to_preemption",
-        jnum(result.elasticity.samplesLostToPreemption));
-    row("elasticity", "samples_saved_by_drain",
-        jnum(result.elasticity.samplesSavedByDrain));
-    row("elasticity", "samples_dropped_at_drain",
-        jnum(result.elasticity.samplesDroppedAtDrain));
-    row("elasticity", "degraded_capacity_time_sec",
-        jnum(result.elasticity.degradedCapacityTime));
-    row("elasticity", "zero_capacity_time_sec",
-        jnum(result.elasticity.zeroCapacityTime));
-    row("elasticity", "rebalance_time_sec",
-        jnum(result.elasticity.rebalanceTime));
-    row("elasticity", "avg_active_fraction",
-        jnum(result.elasticity.avgActiveFraction));
-    row("elasticity", "capacity_availability",
-        jnum(capacityAvailability()));
-    row("elasticity", "slo_target_samples_per_sec",
-        jnum(result.elasticity.sloTargetSamplesPerSec));
-    row("elasticity", "slo_attainment", jnum(sloAttainment()));
-    row("sample_ledger", "prepared",
-        jnum(result.elasticity.samplesPrepared));
-    row("sample_ledger", "consumed",
-        jnum(result.elasticity.samplesConsumed));
-    row("sample_ledger", "cached_at_end",
-        jnum(result.elasticity.samplesCachedAtEnd));
-    row("sample_ledger", "discarded",
-        jnum(result.elasticity.samplesDiscarded));
-    row("ingest", "arrival_events",
-        jnum(double(result.ingest.arrivalEvents)));
-    row("ingest", "overload_trips",
-        jnum(double(result.ingest.overloadTrips)));
-    row("ingest", "stalls", jnum(double(result.ingest.stalls)));
-    row("ingest", "write_flows", jnum(double(result.ingest.writeFlows)));
-    row("ingest", "write_retries",
-        jnum(double(result.ingest.writeRetries)));
-    row("ingest", "write_failures",
-        jnum(double(result.ingest.writeFailures)));
-    row("ingest", "admit_rate", jnum(ingestAdmitRate()));
-    row("ingest", "shed_rate", jnum(ingestShedRate()));
-    row("ingest", "overload_time_sec", jnum(result.ingest.overloadTime));
-    row("ingest", "stall_time_sec", jnum(result.ingest.stallTime));
-    row("ingest", "peak_buffer_level",
-        jnum(result.ingest.peakBufferLevel));
-    row("ingest", "samples_echoed", jnum(result.ingest.samplesEchoed));
-    row("ingest", "echo_effective_factor", jnum(echoEffectiveFactor()));
-    row("ingest", "avg_staleness_sec", jnum(avgIngestStaleness()));
-    row("ingest", "max_staleness_sec", jnum(result.ingest.stalenessMax));
-    row("ingest", "freshness_slo_attainment",
-        jnum(freshnessSloAttainment()));
-    row("ingest_ledger", "arrived", jnum(result.ingest.samplesArrived));
-    row("ingest_ledger", "admitted",
-        jnum(result.ingest.samplesAdmitted));
-    row("ingest_ledger", "shed", jnum(result.ingest.samplesShed));
-    row("ingest_ledger", "throttled",
-        jnum(result.ingest.samplesThrottled));
-    row("ingest_ledger", "shed_policy",
-        jnum(result.ingest.samplesShedPolicy));
-    row("ingest_ledger", "overflow_dropped",
-        jnum(result.ingest.samplesOverflowDropped));
-    row("ingest_ledger", "abandoned_writes",
-        jnum(result.ingest.samplesAbandonedWrites));
-    row("ingest_ledger", "in_flight_at_end",
-        jnum(result.ingest.samplesInFlightAtEnd));
-    row("integrity", "injected", jnum(double(result.integrity.injected)));
-    row("integrity", "detected", jnum(double(result.integrity.detected)));
-    row("integrity", "escaped", jnum(double(result.integrity.escaped)));
-    row("integrity", "escape_rate", jnum(result.integrity.escapeRate()));
-    row("integrity", "pcie_replays",
-        jnum(double(result.integrity.pcieReplays)));
-    row("integrity", "recoveries",
-        jnum(double(result.integrity.recoveries)));
-    row("integrity", "chunks_quarantined",
-        jnum(double(result.integrity.chunksQuarantined)));
-    row("prep_quarantine", "items_processed",
-        jnum(double(prepItemsProcessed)));
-    row("prep_quarantine", "quarantined",
-        jnum(double(prepItemsQuarantined())));
-    for (const auto &[reason, n] : prepQuarantineByReason)
-        row("prep_quarantine_by_reason", reason, jnum(double(n)));
-    for (const ResourceUsage &u : resources) {
-        row("utilization", u.name, jnum(u.utilization));
-        row("saturated_fraction", u.name, jnum(u.saturatedFraction));
-    }
-    std::size_t rank = 1;
-    for (const Bottleneck &b : bottlenecks())
-        row("bottleneck", std::to_string(rank++) + ":" + b.kind,
-            jnum(b.utilization));
-    return out;
+    FieldWriter w("session");
+    writeFields(w);
+    return w.finish();
 }
 
 void

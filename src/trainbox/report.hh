@@ -8,8 +8,7 @@
  * per-device utilization histories recorded by the metrics layer, and
  * a ranked bottleneck attribution — behind one documented API with
  * JSON / CSV / Chrome-trace exporters. It replaces the ad-hoc
- * accounting every bench used to hand-roll; SessionResult's scattered
- * accessors (goodput(), efficiency(), *Used()) now delegate here.
+ * accounting every bench used to hand-roll.
  *
  * Utilization and bottleneck data require the run's ServerConfig to
  * have metricsEnabled set; without metrics the report still carries
@@ -32,6 +31,7 @@
 
 namespace tb {
 
+class FieldWriter;
 class TraceWriter;
 
 /** Utilization summary of one simulated resource over the window. */
@@ -248,10 +248,11 @@ class SessionReport
     std::vector<Bottleneck> bottlenecks() const;
 
     // --- exporters ------------------------------------------------------
-    /** Serialize the full report as JSON (schema in OBSERVABILITY.md). */
-    std::string toJson() const;
+    /** The one field list, in JSON order (schema in OBSERVABILITY.md). */
+    void writeFields(FieldWriter &w) const;
 
-    /** Serialize as "section,key,value" CSV rows. */
+    /** writeFields() as JSON, and as "section,key,value" CSV rows. */
+    std::string toJson() const;
     std::string toCsv() const;
 
     /**
@@ -264,7 +265,7 @@ class SessionReport
     /** Human-readable summary (the tb_report default output). */
     void print(std::FILE *out = stdout) const;
 
-    // --- canonical formulas (SessionResult delegates here) --------------
+    // --- canonical formulas ---------------------------------------------
     static double computeGoodput(double throughput, double reference);
     static double computeEfficiency(const CheckpointStats &ckpt,
                                     Time wallTime);

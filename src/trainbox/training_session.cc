@@ -11,40 +11,6 @@
 
 namespace tb {
 
-// The deprecated SessionResult accessors delegate to the canonical
-// formulas on SessionReport so there is exactly one definition of each.
-
-double
-SessionResult::cpuCoresUsed() const
-{
-    return SessionReport::sumCategories(cpuCoresByCategory);
-}
-
-double
-SessionResult::memBwUsed() const
-{
-    return SessionReport::sumCategories(memBwByCategory);
-}
-
-double
-SessionResult::rcBwUsed() const
-{
-    return SessionReport::sumCategories(rcBwByCategory);
-}
-
-double
-SessionResult::goodput(double fault_free_throughput) const
-{
-    return SessionReport::computeGoodput(throughput,
-                                         fault_free_throughput);
-}
-
-double
-SessionResult::efficiency() const
-{
-    return SessionReport::computeEfficiency(checkpoint, wallTime);
-}
-
 TrainingSession::TrainingSession(Server &server)
     : server_(server), eq_(server.core().events()),
       net_(server.core().fluid())

@@ -85,7 +85,6 @@ class SessionReport;
  * point for consuming a run: it wraps this struct together with the
  * config echo, per-device utilization, and the ranked bottleneck
  * attribution, and owns the canonical goodput/efficiency formulas.
- * The accessors kept here delegate to it for compatibility.
  */
 struct SessionResult
 {
@@ -264,38 +263,6 @@ struct SessionResult
 
     /** Total simulated wall time of the run (start to last sync). */
     Time wallTime = 0.0;
-
-    /**
-     * Goodput fraction: this run's throughput relative to a fault-free
-     * reference throughput (same config with faults.enabled = false).
-     * \deprecated Delegates to SessionReport::computeGoodput(); new
-     * code should consume a SessionReport.
-     */
-    [[deprecated("use SessionReport::computeGoodput()")]]
-    double goodput(double faultFreeThroughput) const;
-
-    /**
-     * Useful-time fraction: 1 - (checkpoint pauses + lost work +
-     * restart downtime) / wallTime — the quantity the Young–Daly
-     * interval maximizes. 1.0 for a run with no checkpoint overhead and
-     * no crashes; 0 when wallTime is degenerate.
-     * \deprecated Delegates to SessionReport::computeEfficiency(); new
-     * code should consume a SessionReport.
-     */
-    [[deprecated("use SessionReport::computeEfficiency()")]]
-    double efficiency() const;
-
-    /**
-     * Sums of the per-category maps.
-     * \deprecated Delegate to SessionReport::sumCategories(); new code
-     * should consume a SessionReport.
-     */
-    [[deprecated("use SessionReport::sumCategories()")]]
-    double cpuCoresUsed() const;
-    [[deprecated("use SessionReport::sumCategories()")]]
-    double memBwUsed() const;
-    [[deprecated("use SessionReport::sumCategories()")]]
-    double rcBwUsed() const;
 };
 
 /**

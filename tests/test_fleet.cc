@@ -13,12 +13,17 @@
  *    attributed queueing delay;
  *  - pool arbitration: oversubscribed grants sum exactly to the shared
  *    pool, the constrained job is flagged, and the Jain fairness index
- *    reflects the split.
+ *    reflects the split;
+ *  - exporters: job names with quotes, control characters or commas
+ *    survive JSON escaping and CSV quoting, and a long job name keeps
+ *    every per-job CSV row intact.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "trainbox/fleet.hh"
 #include "trainbox/server_builder.hh"
@@ -422,6 +427,107 @@ TEST(FleetFaults, ScriptedFaultReplayIsDeterministic)
     const FleetReport b = runFleet(fleet);
     EXPECT_EQ(a.eventsExecuted, b.eventsExecuted);
     EXPECT_EQ(a.toJson(), b.toJson());
+}
+
+// --- exporters -------------------------------------------------------------
+
+/** A hand-built one-job report (exporters only; nothing is simulated). */
+FleetReport
+oneJobReport(const std::string &name)
+{
+    FleetReport r;
+    r.policy = "pool_aware";
+    r.jobsTotal = 1;
+    r.jobsCompleted = 1;
+    r.retryHistogram = {1};
+    FleetJobResult j;
+    j.job = name;
+    j.host = "host0";
+    j.poolFpgasRequested = 4;
+    j.poolFpgasGranted = 3;
+    j.admitted = true;
+    j.completed = true;
+    j.state = FleetJobState::Completed;
+    r.jobs.push_back(j);
+    return r;
+}
+
+/** RFC 4180 rows of @p csv (quoted fields may hold ',', '"' and LF). */
+std::vector<std::vector<std::string>>
+parseCsv(const std::string &csv)
+{
+    std::vector<std::vector<std::string>> rows(1);
+    std::string field;
+    bool quoted = false;
+    for (std::size_t i = 0; i < csv.size(); ++i) {
+        const char c = csv[i];
+        if (quoted && c == '"' && i + 1 < csv.size() && csv[i + 1] == '"') {
+            field += '"';
+            ++i;
+        } else if (c == '"') {
+            quoted = !quoted;
+        } else if (!quoted && (c == ',' || c == '\n')) {
+            rows.back().push_back(field);
+            field.clear();
+            if (c == '\n')
+                rows.emplace_back();
+        } else {
+            field += c;
+        }
+    }
+    rows.pop_back(); // the empty row after the final newline
+    return rows;
+}
+
+TEST(FleetExport, JobNameIsEscapedInJson)
+{
+    const std::string json = oneJobReport("a\"b\\c\td\ne").toJson();
+    EXPECT_NE(json.find("    {\"name\": \"a\\\"b\\\\c\\td\\ne\", "
+                        "\"host\": \"host0\", \"priority\": 0, "),
+              std::string::npos)
+        << json;
+    EXPECT_EQ(json.find('\t'), std::string::npos);
+}
+
+TEST(FleetExport, CsvQuotesJobNameWithComma)
+{
+    const std::string csv = oneJobReport("a,b").toCsv();
+    EXPECT_NE(csv.find("\"jobs.a,b\",name,\"a,b\"\n"), std::string::npos)
+        << csv;
+    const auto rows = parseCsv(csv);
+    ASSERT_FALSE(rows.empty());
+    for (const auto &row : rows)
+        EXPECT_EQ(row.size(), 3u) << csv;
+    EXPECT_EQ(rows[0], (std::vector<std::string>{"section", "key",
+                                                 "value"}));
+}
+
+// Each per-job row once went through a fixed-size buffer, which cut a
+// 13-character job name's rows short and spliced the next row on.
+TEST(FleetExport, LongJobNameKeepsEveryCsvRow)
+{
+    const std::string name(40, 'j');
+    const auto rows = parseCsv(oneJobReport(name).toCsv());
+    const std::vector<std::string> keys = {
+        "name", "host", "priority", "arrival_s", "started_s",
+        "finished_s", "queueing_delay_s", "boxes",
+        "pool_fpgas_requested", "pool_fpgas_granted", "pool_constrained",
+        "admitted", "completed", "throughput", "wall_time_s", "state",
+        "restarts", "steps_lost", "work_lost_s",
+        "replacement_latency_s"};
+    std::vector<std::vector<std::string>> job_rows;
+    for (const auto &row : rows) {
+        ASSERT_EQ(row.size(), 3u);
+        if (row[0] == "jobs." + name)
+            job_rows.push_back(row);
+    }
+    ASSERT_EQ(job_rows.size(), keys.size());
+    for (std::size_t i = 0; i < keys.size(); ++i)
+        EXPECT_EQ(job_rows[i][1], keys[i]);
+    EXPECT_EQ(job_rows[0][2], name);
+    EXPECT_EQ(job_rows[9][2], "3");
+    EXPECT_EQ(job_rows[12][2], "true");
+    EXPECT_EQ(job_rows[15][2], "completed");
 }
 
 } // namespace

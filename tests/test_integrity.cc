@@ -512,7 +512,7 @@ TEST(SimIntegrity, ReportCarriesIntegrityAndPrepQuarantine)
 
     const std::string csv = report.toCsv();
     EXPECT_NE(csv.find("integrity,injected,"), std::string::npos);
-    EXPECT_NE(csv.find("prep_quarantine_by_reason,audio_malformed,2"),
+    EXPECT_NE(csv.find("prep_quarantine.by_reason,audio_malformed,2"),
               std::string::npos);
 }
 

@@ -4,7 +4,7 @@
  * Fig 9 latency breakdown (Resnet-50, 32 accelerators, baseline),
  * bit-identical throughput with metrics on vs off, bottleneck
  * attribution on the paper presets, exporter well-formedness, and the
- * deprecated SessionResult accessors' delegation.
+ * canonical goodput/efficiency formulas.
  */
 
 #include <gtest/gtest.h>
@@ -41,6 +41,11 @@ TEST(SessionReport, MetricsDoNotPerturbThroughput)
     EXPECT_DOUBLE_EQ(on.prepLatency(), off.prepLatency());
     EXPECT_FALSE(off.hasMetrics);
     EXPECT_TRUE(on.hasMetrics);
+
+    // The canonical goodput and efficiency formulas on this run.
+    EXPECT_DOUBLE_EQ(off.goodput(2.0 * off.throughput()), 0.5);
+    EXPECT_DOUBLE_EQ(off.goodput(0.0), 0.0);
+    EXPECT_DOUBLE_EQ(off.efficiency(), 1.0); // no checkpoints
 }
 
 TEST(SessionReport, GoldenFig9BreakdownResnet50At32)
@@ -172,36 +177,13 @@ TEST(SessionReport, ExportersAreWellFormed)
     const std::string csv = r.toCsv();
     EXPECT_EQ(csv.rfind("section,key,value\n", 0), 0u);
     EXPECT_NE(csv.find("config,preset,Baseline"), std::string::npos);
-    EXPECT_NE(csv.find("latency_pct,prep_total,96.8421"),
+    EXPECT_NE(csv.find("latency_breakdown_pct,prep_total,96.8421"),
               std::string::npos);
 
     TraceWriter trace;
     r.emitCounters(trace);
     EXPECT_GT(trace.numEvents(), 0u);
 }
-
-// The accessors below are deprecated in favour of the SessionReport
-// API; this test deliberately exercises them to pin the delegation.
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
-TEST(SessionResult, DeprecatedAccessorsDelegate)
-{
-    const SessionReport r =
-        runReport(ServerConfig::baseline().withAccelerators(32));
-    const SessionResult &res = r.result;
-    EXPECT_DOUBLE_EQ(res.cpuCoresUsed(), r.hostCpuCores());
-    EXPECT_DOUBLE_EQ(res.memBwUsed(), r.hostMemBw());
-    EXPECT_DOUBLE_EQ(res.rcBwUsed(), r.hostRcBw());
-    EXPECT_DOUBLE_EQ(res.goodput(2.0 * res.throughput), 0.5);
-    EXPECT_DOUBLE_EQ(res.goodput(0.0), 0.0);
-    EXPECT_DOUBLE_EQ(res.efficiency(), r.efficiency());
-    EXPECT_DOUBLE_EQ(res.efficiency(), 1.0); // no checkpoint overhead
-}
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
 
 TEST(SessionReport, FluentConfigMatchesFieldAssignment)
 {

@@ -48,7 +48,15 @@ TEST(Trace, EscapesAndClears)
 {
     TraceWriter trace;
     trace.complete("t", "with\"quote", 0.0, 1.0);
-    EXPECT_NE(trace.toJson().find("with\\\"quote"), std::string::npos);
+    // Control bytes are escaped, not dropped; a long name stays whole.
+    trace.instant("t", "tab\there\x01", 0.0);
+    const std::string long_name(300, 'n');
+    trace.instant("t", long_name, 0.0);
+    const std::string json = trace.toJson();
+    EXPECT_NE(json.find("with\\\"quote"), std::string::npos);
+    EXPECT_NE(json.find("\"tab\\there\\u0001\""), std::string::npos);
+    EXPECT_NE(json.find("\"" + long_name + "\",\"cat\":\"sim\""),
+              std::string::npos);
     trace.clear();
     EXPECT_EQ(trace.numEvents(), 0u);
     EXPECT_EQ(trace.toJson(), "{\"traceEvents\":[]}");
