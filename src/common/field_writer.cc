@@ -42,9 +42,6 @@ appendJsonString(std::string &out, std::string_view s)
     out += '"';
 }
 
-namespace {
-
-/** Append a CSV field (quoted if it holds ',', '"', CR or LF), @p sep. */
 void
 appendCsvField(std::string &out, std::string_view s, char sep)
 {
@@ -56,8 +53,6 @@ appendCsvField(std::string &out, std::string_view s, char sep)
     out += quote ? "\"" : "";
     out += sep;
 }
-
-} // namespace
 
 FieldWriter::FieldWriter()
     : csv_(false), out_("{"), scopes_{{Layout::Lines, false, 0}}

@@ -35,6 +35,12 @@ void appendNumber(std::string &out, double v, NumberFormat f);
 /** Append @p s quoted, escaping '"', '\\' and every byte below 0x20. */
 void appendJsonString(std::string &out, std::string_view s);
 
+/**
+ * Append @p s as one RFC 4180 CSV field, then @p sep: quoted, with '"'
+ * doubled, when it holds ',', '"', CR or LF.
+ */
+void appendCsvField(std::string &out, std::string_view s, char sep);
+
 class FieldWriter
 {
   public:

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdarg>
 
+#include "common/field_writer.hh"
 #include "common/logging.hh"
 
 namespace tb {
@@ -88,10 +89,15 @@ Table::print(std::FILE *out) const
 void
 Table::printCsv(std::FILE *out) const
 {
+    std::string line;
     auto print_row = [&](const std::vector<std::string> &cells) {
+        line.clear();
         for (std::size_t c = 0; c < cells.size(); ++c)
-            std::fprintf(out, "%s%s", c ? "," : "", cells[c].c_str());
-        std::fprintf(out, "\n");
+            appendCsvField(line, cells[c],
+                           c + 1 < cells.size() ? ',' : '\n');
+        if (cells.empty())
+            line += '\n';
+        std::fputs(line.c_str(), out);
     };
     print_row(headers_);
     for (const auto &row : rows_)

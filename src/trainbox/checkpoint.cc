@@ -148,19 +148,14 @@ Checkpointer::launchDrain()
     for (std::size_t g = 0; g < server_.groups.size(); ++g) {
         if (shardBytes_[g] <= 0.0)
             continue;
-        FlowSpec spec;
-        spec.category = "checkpoint";
-        spec.size = shardBytes_[g];
-        spec.demands =
-            server_.groups[g].checkpointWrite.demandsPerSample;
-        spec.fairWeight = server_.groups[g].checkpointWrite.fairWeight;
-        spec.onComplete = [this, g](Time now) {
-            // Completed flows were never cancelled; forget the id.
-            if (g < drainFlows_.size())
-                drainFlows_[g] = 0;
-            if (--outstanding_ == 0)
-                onDrainComplete(now);
-        };
+        FlowSpec spec = server_.groups[g].checkpointWrite.flow(
+            shardBytes_[g], [this, g](Time now) {
+                // Completed flows were never cancelled; forget the id.
+                if (g < drainFlows_.size())
+                    drainFlows_[g] = 0;
+                if (--outstanding_ == 0)
+                    onDrainComplete(now);
+            });
         ++outstanding_;
         if (drainFlows_.size() <= g)
             drainFlows_.resize(g + 1, 0);

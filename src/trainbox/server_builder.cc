@@ -162,6 +162,36 @@ struct Builder
         return st;
     }
 
+    /**
+     * Shard-append stage from the host-DRAM ingest buffer onto @p ssds
+     * (base unit: one sample). Every appended byte crosses the RC and
+     * pays the shard write amplification plus the write->read
+     * interference that slows the prep reads on the same SSDs.
+     */
+    StageTemplate
+    ingestWriteStage(const std::vector<NvmeSsd *> &ssds) const
+    {
+        const workload::PrepDemand &d = s.demand;
+        const double ssd_share = 1.0 / static_cast<double>(ssds.size());
+        const double bytes = d.ssdBytes * ssd_share; // per SSD
+        StageTemplate st;
+        st.name = "ingest_write";
+        st.category = "ingest";
+        DemandSet ds;
+        ds.add(s.hostMem->resource(), d.ssdBytes);
+        ds.add(s.cpu->resource(),
+               kDmaSetupCpu + d.ssdBytes * kCrcCpuPerByte);
+        for (auto *ssd : ssds) {
+            const FlowDemand wr = ssd->shardWriteDemand(bytes);
+            const FlowDemand rd = ssd->shardWriteReadInterference(bytes);
+            ds.add(wr.resource, wr.weight);
+            ds.add(rd.resource, rd.weight);
+            ds.add(s.topo->hostRouteDemands(ssd->node(), true, bytes));
+        }
+        st.demandsPerSample = ds.build();
+        return st;
+    }
+
     /** Build the non-clustered presets (Figs 12-14 + Gen4 + GPU). */
     void buildCentral();
 
@@ -479,32 +509,11 @@ Builder::makeCentralStages(std::size_t g)
         group.checkpointWrite = std::move(st);
     }
 
-    // --- Ingest shard-append path (base unit: one sample) ------------
+    // --- Ingest shard-append path -------------------------------------
     // Freshly arrived samples drain from the host-DRAM ingest buffer
-    // through the RC to the shared SSD boxes: every appended byte pays
-    // the shard write amplification plus the write->read interference
-    // that slows the prep reads striped over the same SSDs.
-    if (cfg.ingest.enabled) {
-        StageTemplate st;
-        st.name = "ingest_write";
-        st.category = "ingest";
-        DemandSet ds;
-        ds.add(s.hostMem->resource(), d.ssdBytes);
-        ds.add(s.cpu->resource(),
-               kDmaSetupCpu + d.ssdBytes * kCrcCpuPerByte);
-        for (auto *ssd : ssds) {
-            const FlowDemand wr =
-                ssd->shardWriteDemand(d.ssdBytes * ssd_share);
-            const FlowDemand rd =
-                ssd->shardWriteReadInterference(d.ssdBytes * ssd_share);
-            ds.add(wr.resource, wr.weight);
-            ds.add(rd.resource, rd.weight);
-            ds.add(topo.hostRouteDemands(ssd->node(), true,
-                                         d.ssdBytes * ssd_share));
-        }
-        st.demandsPerSample = ds.build();
-        group.ingestWrite = std::move(st);
-    }
+    // through the RC to the shared SSD boxes.
+    if (cfg.ingest.enabled)
+        group.ingestWrite = ingestWriteStage(ssds);
 
     s.groups.push_back(std::move(group));
 }
@@ -883,33 +892,12 @@ Builder::makeClusteredStages(std::size_t g)
         group.checkpointWrite = std::move(st);
     }
 
-    // --- Ingest shard-append path (base unit: one sample) --------------
+    // --- Ingest shard-append path ---------------------------------------
     // Arrivals land in host DRAM (the ingest buffer fills from the host
     // NIC), so unlike checkpoint drains the shard appends *do* cross the
-    // RC — but they target the box's own SSDs, and each appended byte
-    // pays the shard write amplification plus the write->read
-    // interference that slows this box's prep fetches.
-    if (cfg.ingest.enabled) {
-        StageTemplate st;
-        st.name = "ingest_write";
-        st.category = "ingest";
-        DemandSet ds;
-        ds.add(s.hostMem->resource(), d.ssdBytes);
-        ds.add(s.cpu->resource(),
-               kDmaSetupCpu + d.ssdBytes * kCrcCpuPerByte);
-        for (auto *ssd : ssds) {
-            const FlowDemand wr =
-                ssd->shardWriteDemand(d.ssdBytes * ssd_share);
-            const FlowDemand rd =
-                ssd->shardWriteReadInterference(d.ssdBytes * ssd_share);
-            ds.add(wr.resource, wr.weight);
-            ds.add(rd.resource, rd.weight);
-            ds.add(topo.hostRouteDemands(ssd->node(), true,
-                                         d.ssdBytes * ssd_share));
-        }
-        st.demandsPerSample = ds.build();
-        group.ingestWrite = std::move(st);
-    }
+    // RC — but they target the box's own SSDs.
+    if (cfg.ingest.enabled)
+        group.ingestWrite = ingestWriteStage(ssds);
 
     s.groups.push_back(std::move(group));
 }

@@ -64,6 +64,20 @@ struct StageTemplate
      * pending on the chain are detected here (training_session.cc).
      */
     bool verifiesIntegrity = false;
+
+    /** A flow of @p size base units through this stage. */
+    FlowSpec
+    flow(double size, std::function<void(Time)> onComplete) const
+    {
+        FlowSpec spec;
+        spec.category = category;
+        spec.size = size;
+        spec.rateCap = rateCap;
+        spec.fairWeight = fairWeight;
+        spec.demands = demandsPerSample;
+        spec.onComplete = std::move(onComplete);
+        return spec;
+    }
 };
 
 /** A set of accelerators fed by one preparation pipeline. */

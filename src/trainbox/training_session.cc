@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <optional>
 
 #include "common/logging.hh"
 #include "common/math_util.hh"
@@ -24,38 +25,6 @@ bool
 TrainingSession::measuring() const
 {
     return syncedSteps_ >= warmupSteps_ && !done_;
-}
-
-void
-TrainingSession::runChain(const std::string &track,
-                          const std::vector<StageTemplate> &stages,
-                          double samples, std::size_t idx,
-                          std::function<void()> done)
-{
-    if (idx >= stages.size()) {
-        done();
-        return;
-    }
-    const StageTemplate &st = stages[idx];
-    const Time start = eq_.now();
-    FlowSpec spec;
-    spec.category = st.category;
-    spec.size = samples;
-    spec.rateCap = st.rateCap;
-    spec.fairWeight = st.fairWeight;
-    spec.demands = st.demandsPerSample;
-    spec.onComplete = [this, track, &stages, samples, idx, start,
-                       done = std::move(done)](Time now) {
-        if (measuring()) {
-            stageTimeSum_[stages[idx].name] += now - start;
-            ++stageTimeCount_[stages[idx].name];
-        }
-        if (trace_)
-            trace_->complete(track, stages[idx].name, start, now - start,
-                             "prep");
-        runChain(track, stages, samples, idx + 1, done);
-    };
-    net_.startFlow(std::move(spec));
 }
 
 std::size_t
@@ -81,7 +50,6 @@ TrainingSession::launchPrep(std::size_t g)
         return;
     const double batch = groupBatchSamples(g);
     const double chunk = batch / static_cast<double>(chunksPerBatch());
-    const double f = gs.spec->offloadFraction;
     const double window =
         static_cast<double>(server_.cfg.prefetchDepth) * batch;
 
@@ -90,31 +58,13 @@ TrainingSession::launchPrep(std::size_t g)
     // so a slow prep-pool round-trip never stalls completed local work.
     while (gs.readySamples + gs.inFlightSamples < window - 1e-6) {
         gs.inFlightSamples += chunk;
-        if (fault_ || elastic_) {
-            // Tracked chains so faults and membership changes can
-            // cancel and re-dispatch them; a crashed or departed FPGA's
-            // share shifts onto the prep-pool.
-            const double fe = effectiveOffload(g);
-            const double local = chunk * (1.0 - fe);
-            if (local > 0.0)
-                launchFaultChain(g, /*offload=*/false, local);
-            if (fe > 0.0)
-                launchFaultChain(g, /*offload=*/true, chunk * fe);
-            continue;
-        }
-        const Time start = eq_.now();
+        // A crashed or departed FPGA's share shifts onto the prep pool.
+        const double f = effectiveOffload(g);
         const double local = chunk * (1.0 - f);
-        runChain(gs.spec->name, gs.spec->stages, local, 0,
-                 [this, g, local, start] {
-                     onChainDone(g, local, start);
-                 });
-        if (f > 0.0) {
-            const double remote = chunk * f;
-            runChain(gs.spec->name + ".offload", gs.spec->offloadStages,
-                     remote, 0, [this, g, remote, start] {
-                         onChainDone(g, remote, start);
-                     });
-        }
+        if (local > 0.0)
+            launchChain(g, /*offload=*/false, local);
+        if (f > 0.0)
+            launchChain(g, /*offload=*/true, chunk * f);
     }
 }
 
@@ -138,12 +88,13 @@ TrainingSession::onChainDone(std::size_t g, double samples,
     launchPrep(g);
 }
 
-// --- fault-injection path ------------------------------------------------
+// --- prep chains ---------------------------------------------------------
 //
-// Under fault injection every prep chain is a tracked ChainRun so that an
-// open fault window can cancel its current flow and re-dispatch it on a
-// recovery template. The fault-free path above never allocates any of
-// this.
+// Every prep chain is a ChainRun in chains_, run one stage (one fluid
+// flow) at a time by startChainStage. Faults and membership changes
+// restart chains on recovery templates; crashes, detaches and kill()
+// cancel them. Loops over chains_ run in chain-id (launch) order, which
+// fixes the re-dispatch order and with it the FlowId order.
 
 /**
  * Is the group's last prep FPGA out of service for *routing* purposes?
@@ -195,18 +146,14 @@ TrainingSession::effectiveOffload(std::size_t g) const
 }
 
 void
-TrainingSession::launchFaultChain(std::size_t g, bool offload,
-                                  double samples)
+TrainingSession::launchChain(std::size_t g, bool offload, double samples)
 {
     const std::uint64_t cid = nextChainId_++;
-    ChainRun run;
-    run.group = g;
-    run.offload = offload;
-    run.samples = samples;
-    run.start = eq_.now();
-    run.track = groups_[g].spec->name + (offload ? ".offload" : "");
-    auto [it, inserted] = chains_.emplace(cid, std::move(run));
-    it->second.stages = &selectStages(it->second);
+    ChainRun &run = chains_[cid];
+    run = {.group = g, .offload = offload, .samples = samples,
+           .start = eq_.now(),
+           .track = groups_[g].spec->name + (offload ? ".offload" : "")};
+    run.stages = &selectStages(run);
     startChainStage(cid, 0);
 }
 
@@ -219,23 +166,14 @@ TrainingSession::startChainStage(std::uint64_t cid, std::size_t idx)
     ChainRun &run = cit->second;
     const std::vector<StageTemplate> &stages = *run.stages;
     if (idx >= stages.size()) {
-        const std::size_t g = run.group;
-        const double samples = run.samples;
-        const Time chain_start = run.start;
+        const ChainRun done = std::move(run);
         chains_.erase(cit);
-        onChainDone(g, samples, chain_start);
+        onChainDone(done.group, done.samples, done.start);
         return;
     }
-    const StageTemplate &st = stages[idx];
     const Time start = eq_.now();
     const std::uint64_t epoch = run.epoch;
-    FlowSpec spec;
-    spec.category = st.category;
-    spec.size = run.samples;
-    spec.rateCap = st.rateCap;
-    spec.fairWeight = st.fairWeight;
-    spec.demands = st.demandsPerSample;
-    spec.onComplete = [this, cid, idx, start, epoch](Time now) {
+    auto on_complete = [this, cid, idx, start, epoch](Time now) {
         auto it = chains_.find(cid);
         if (it == chains_.end() || it->second.epoch != epoch)
             return;
@@ -249,15 +187,105 @@ TrainingSession::startChainStage(std::uint64_t cid, std::size_t idx)
         if (trace_)
             trace_->complete(run.track, done.name, start, now - start,
                              "prep");
-        if (done.name == "ssd_read" && handleReadFailure(cid, idx))
+        if (fault_ && done.name == "ssd_read" &&
+            handleReadFailure(cid, idx))
             return;
-        if ((done.corruptionHops != 0 || done.verifiesIntegrity) &&
+        if (fault_ && (done.corruptionHops != 0 || done.verifiesIntegrity) &&
             handleCorruption(cid, idx))
             return;
         startChainStage(cid, idx + 1);
     };
-    run.flow = net_.startFlow(std::move(spec));
+    run.flow =
+        net_.startFlow(stages[idx].flow(run.samples, std::move(on_complete)));
 }
+
+/**
+ * Start chain @p cid over on fresh data, on the template for the group's
+ * current health; pending resumes of the old attempt go stale.
+ */
+void
+TrainingSession::restartChain(std::uint64_t cid)
+{
+    ChainRun &run = chains_.find(cid)->second;
+    if (run.flow != 0) {
+        net_.cancelFlow(run.flow);
+        run.flow = 0;
+    }
+    run.readAttempts = 0;
+    run.pendingCorruptions = 0;
+    run.recoveries = 0;
+    run.stages = &selectStages(run);
+    ++run.epoch;
+    startChainStage(cid, 0);
+}
+
+/** After @p delay, start stage @p idx of chain @p cid's current attempt. */
+void
+TrainingSession::resumeChainAt(Time delay, std::uint64_t cid,
+                               std::size_t idx)
+{
+    const std::uint64_t epoch = chains_.find(cid)->second.epoch;
+    eq_.scheduleIn(delay, [this, cid, idx, epoch] {
+        auto it = chains_.find(cid);
+        if (it != chains_.end() && it->second.epoch == epoch)
+            startChainStage(cid, idx);
+    });
+}
+
+/**
+ * Everything volatile of group @p g (of every group: nullopt) dies: its
+ * prep chains and running compute are cancelled and its buffered samples
+ * discarded, counted in the ledger. Returns the samples lost: buffered
+ * ones plus the batch of every aborted compute.
+ */
+double
+TrainingSession::discardWork(std::optional<std::size_t> g)
+{
+    for (auto it = chains_.begin(); it != chains_.end();) {
+        if (g && it->second.group != *g) {
+            ++it;
+            continue;
+        }
+        if (it->second.flow != 0)
+            net_.cancelFlow(it->second.flow);
+        it = chains_.erase(it);
+    }
+    double lost = 0.0;
+    for (std::size_t i = 0; i < groups_.size(); ++i) {
+        GroupState &gs = groups_[i];
+        if (g && i != *g)
+            continue;
+        gs.inFlightSamples = 0.0;
+        samplesDiscarded_ += gs.readySamples;
+        lost += gs.readySamples;
+        gs.readySamples = 0.0;
+        if (gs.computeEv.valid()) {
+            eq_.cancel(gs.computeEv);
+            lost += groupBatchSamples(i);
+        }
+        gs.computing = false;
+    }
+    return lost;
+}
+
+/** Restart group @p g's local chains; returns how many there were. */
+std::size_t
+TrainingSession::redispatchLocalChains(std::size_t g)
+{
+    std::size_t redispatched = 0;
+    for (auto &[cid, run] : chains_) {
+        if (run.group != g || run.offload)
+            continue;
+        restartChain(cid);
+        ++redispatched;
+    }
+    return redispatched;
+}
+
+// --- fault-injection path ------------------------------------------------
+//
+// The recovery policies that step in as a chain's stage completes; the
+// chain runner calls them only while fault_ is set.
 
 /**
  * Bounded-retry policy for SSD reads. Returns true when the read failed
@@ -267,8 +295,6 @@ TrainingSession::startChainStage(std::uint64_t cid, std::size_t idx)
 bool
 TrainingSession::handleReadFailure(std::uint64_t cid, std::size_t idx)
 {
-    if (!fault_) // tracked chains exist under elasticity alone
-        return false;
     ChainRun &run = chains_.find(cid)->second;
     const FaultConfig &fc = fault_->config();
     if (fc.ssdReadFailureProb <= 0.0 || !fault_->ssdReadAttemptFails()) {
@@ -283,26 +309,15 @@ TrainingSession::handleReadFailure(std::uint64_t cid, std::size_t idx)
         ++faultStats_.ssdRetries;
         if (trace_)
             trace_->instant(run.track, "read_retry", now, "fault");
-        const std::uint64_t epoch = run.epoch;
-        eq_.scheduleIn(backoff, [this, cid, idx, epoch] {
-            auto it = chains_.find(cid);
-            if (it == chains_.end() || it->second.epoch != epoch)
-                return;
-            startChainStage(cid, idx);
-        });
+        resumeChainAt(backoff, cid, idx);
         return true;
     }
     // Retry budget exhausted: abandon the chunk and restart the chain on
     // fresh data (the dataset is sharded; another replica serves it).
     ++faultStats_.chunksAbandoned;
-    run.readAttempts = 0;
-    run.pendingCorruptions = 0;
-    run.recoveries = 0;
-    run.stages = &selectStages(run);
-    ++run.epoch;
     if (trace_)
         trace_->instant(run.track, "chunk_abandoned", now, "fault");
-    startChainStage(cid, 0);
+    restartChain(cid);
     return true;
 }
 
@@ -338,8 +353,6 @@ TrainingSession::chainVerifiesFrom(const ChainRun &run, std::size_t idx)
 bool
 TrainingSession::handleCorruption(std::uint64_t cid, std::size_t idx)
 {
-    if (!fault_) // tracked chains exist under elasticity alone
-        return false;
     ChainRun &run = chains_.find(cid)->second;
     const StageTemplate &st = (*run.stages)[idx];
     const FaultConfig &fc = fault_->config();
@@ -393,61 +406,23 @@ TrainingSession::handleCorruption(std::uint64_t cid, std::size_t idx)
             if (trace_)
                 trace_->instant(run.track, "integrity_recover", now,
                                 "fault");
-            const std::uint64_t epoch = run.epoch;
-            eq_.scheduleIn(backoff, [this, cid, epoch] {
-                auto it = chains_.find(cid);
-                if (it == chains_.end() || it->second.epoch != epoch)
-                    return;
-                startChainStage(cid, 0);
-            });
+            resumeChainAt(backoff, cid, 0);
             return true;
         }
         // Recovery budget exhausted: quarantine the chunk and restart
         // the chain on fresh data (chunksAbandoned semantics).
         ++integrityStats_.chunksQuarantined;
-        run.recoveries = 0;
-        run.readAttempts = 0;
-        run.stages = &selectStages(run);
-        ++run.epoch;
         if (trace_)
             trace_->instant(run.track, "chunk_quarantined", now, "fault");
-        startChainStage(cid, 0);
+        restartChain(cid);
         return true;
     }
 
     if (replay > 0.0) {
-        const std::uint64_t epoch = run.epoch;
-        eq_.scheduleIn(replay, [this, cid, idx, epoch] {
-            auto it = chains_.find(cid);
-            if (it == chains_.end() || it->second.epoch != epoch)
-                return;
-            startChainStage(cid, idx + 1);
-        });
+        resumeChainAt(replay, cid, idx + 1);
         return true;
     }
     return false;
-}
-
-std::size_t
-TrainingSession::redispatchLocalChains(std::size_t g)
-{
-    std::size_t redispatched = 0;
-    for (auto &[cid, run] : chains_) {
-        if (run.group != g || run.offload)
-            continue;
-        if (run.flow != 0) {
-            net_.cancelFlow(run.flow);
-            run.flow = 0;
-        }
-        run.stages = &selectStages(run);
-        run.readAttempts = 0;
-        run.pendingCorruptions = 0;
-        run.recoveries = 0;
-        ++run.epoch;
-        startChainStage(cid, 0);
-        ++redispatched;
-    }
-    return redispatched;
 }
 
 void
@@ -554,21 +529,10 @@ TrainingSession::onFatalCrash(const FaultEvent &)
 
     // Everything volatile dies with the process: in-flight prep chains,
     // buffered prepared samples, running compute, the pending sync.
-    for (auto &[cid, run] : chains_)
-        if (run.flow != 0)
-            net_.cancelFlow(run.flow);
-    chains_.clear();
-    for (GroupState &gs : groups_) {
-        if (gs.computeEv.valid())
-            eq_.cancel(gs.computeEv);
-        gs.computing = false;
-        samplesDiscarded_ += gs.readySamples;
-        gs.readySamples = 0.0;
-        gs.inFlightSamples = 0.0;
+    discardWork();
+    for (GroupState &gs : groups_)
         gs.stepsComputed = durable;
-    }
-    if (syncEv_.valid())
-        eq_.cancel(syncEv_);
+    eq_.cancel(syncEv_);
     stepSamples_ = 0.0;
     syncedSteps_ = durable;
     pausedForCkpt_ = false;
@@ -731,28 +695,10 @@ TrainingSession::detachGroup(std::size_t g, bool preempted)
     GroupState &gs = groups_[g];
     if (gs.membership == Membership::Detached)
         return;
-    // In-flight prep chains die with the member.
-    for (auto it = chains_.begin(); it != chains_.end();) {
-        if (it->second.group != g) {
-            ++it;
-            continue;
-        }
-        if (it->second.flow != 0)
-            net_.cancelFlow(it->second.flow);
-        it = chains_.erase(it);
-    }
-    gs.inFlightSamples = 0.0;
-    // Buffered prepared samples are discarded: the data shard moves to
-    // the survivors, who re-read it from storage.
-    samplesDiscarded_ += gs.readySamples;
-    double lost = gs.readySamples;
-    gs.readySamples = 0.0;
-    if (gs.computeEv.valid()) {
-        eq_.cancel(gs.computeEv);
-        gs.computeEv.invalidate();
-        lost += groupBatchSamples(g); // aborted mid-step batch
-    }
-    gs.computing = false;
+    // In-flight prep chains and compute die with the member; buffered
+    // prepared samples are discarded: the data shard moves to the
+    // survivors, who re-read it from storage.
+    const double lost = discardWork(g);
     if (preempted)
         elasticStats_.samplesLostToPreemption += lost;
     else
@@ -1038,21 +984,15 @@ TrainingSession::startIngestWrite(std::size_t attempt)
     ++ingestStats_.writeFlows;
     const Time start = eq_.now();
     const std::uint64_t epoch = ingestWriteEpoch_;
-    FlowSpec spec;
-    spec.category = st.category;
-    spec.size = ingestWriting_;
-    spec.rateCap = st.rateCap;
-    spec.fairWeight = st.fairWeight;
-    spec.demands = st.demandsPerSample;
-    spec.onComplete = [this, attempt, epoch, start](Time now) {
+    net_.startFlow(st.flow(ingestWriting_, [this, attempt, epoch,
+                                            start](Time now) {
         if (epoch != ingestWriteEpoch_)
             return;
         if (trace_)
             trace_->complete("ingest", "ingest_write", start, now - start,
                              "ingest");
         onIngestWriteDone(attempt);
-    };
-    net_.startFlow(std::move(spec));
+    }));
 }
 
 /**
@@ -1590,29 +1530,15 @@ TrainingSession::kill()
     // guard (it cannot fire after completion in a normal run); cancel
     // it so a dead session never advances its step count. Every other
     // stray callback lands in a guarded no-op once done_ is set.
-    if (syncEv_.valid())
-        eq_.cancel(syncEv_);
+    eq_.cancel(syncEv_);
     // Everything volatile dies with the host, as in a fatal crash —
-    // but terminally: cancel tracked chain flows and every per-group
-    // compute/membership event so the dead job stops loading the
-    // shared solver.
-    for (auto &[cid, run] : chains_)
-        if (run.flow != 0)
-            net_.cancelFlow(run.flow);
-    chains_.clear();
+    // but terminally: cancel every prep chain's flow and every
+    // per-group compute/membership event so the dead job stops loading
+    // the shared solver. Buffered prepared samples are lost, not cached.
+    discardWork();
     for (GroupState &gs : groups_) {
-        if (gs.computeEv.valid())
-            eq_.cancel(gs.computeEv);
-        if (gs.detachEv.valid())
-            eq_.cancel(gs.detachEv);
-        if (gs.joinEv.valid())
-            eq_.cancel(gs.joinEv);
-        gs.computing = false;
-        // Buffered prepared samples are lost, not cached: the ledger
-        // counts them discarded, keeping conservation exact.
-        samplesDiscarded_ += gs.readySamples;
-        gs.readySamples = 0.0;
-        gs.inFlightSamples = 0.0;
+        eq_.cancel(gs.detachEv);
+        eq_.cancel(gs.joinEv);
     }
     windowEnd_ = eq_.now();
     done_ = true;

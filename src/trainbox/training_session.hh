@@ -7,6 +7,9 @@
  * flows (with next-batch prefetching); compute starts on a group once its
  * batch is ready and the previous global step has synchronized; model
  * synchronization is a global barrier followed by the ring-sync latency.
+ * Every in-flight chain is a tracked record, so fault recovery,
+ * membership changes, crashes and kill() can restart or cancel any of
+ * them.
  *
  * The session measures steady-state throughput over a measurement window
  * (after warmup), per-stage preparation latencies (Fig 9), and per-
@@ -64,6 +67,7 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -316,8 +320,8 @@ class TrainingSession
     /**
      * Terminate the session *now* — the fleet layer's host-failure
      * path (docs/ROBUSTNESS.md). Cancels the pending sync and every
-     * per-group compute/membership event, cancels tracked prep-chain
-     * flows, discards buffered prepared samples (counted in the
+     * per-group compute/membership event, cancels every prep chain's
+     * flow, discards buffered prepared samples (counted in the
      * conservation ledger), and freezes a *partial* result over
      * whatever measurement window had elapsed: stepsMeasured is the
      * synchronized in-window step count, throughput/stepTime are 0
@@ -393,11 +397,10 @@ class TrainingSession
         double offloadOverride = -1.0; ///< re-planned offload (<0: spec)
         EventId detachEv{};            ///< pending grace-window end
         EventId joinEv{};              ///< pending rejoin completion
-        // Per in-flight chain bookkeeping is closure-captured
-        // (fault-free) or held in ChainRun records (fault injection).
+        // Its in-flight chains are the ChainRun records with this group.
     };
 
-    /** One in-flight prep chain (tracked under faults or elasticity). */
+    /** One in-flight prep chain: one chunk's trip through a template. */
     struct ChainRun
     {
         std::size_t group = 0;
@@ -426,9 +429,6 @@ class TrainingSession
     };
 
     void launchPrep(std::size_t g);
-    void runChain(const std::string &track,
-                  const std::vector<StageTemplate> &stages, double samples,
-                  std::size_t idx, std::function<void()> done);
     void onChainDone(std::size_t g, double samples, Time chain_start);
     bool measuring() const;
     std::size_t chunksPerBatch() const;
@@ -437,6 +437,18 @@ class TrainingSession
     void onComputeDone(std::size_t g);
     void stepComplete();
     void onSyncDone();
+
+    // --- prep chains: every chain is a ChainRun in chains_ -----------
+    void launchChain(std::size_t g, bool offload, double samples);
+    void startChainStage(std::uint64_t cid, std::size_t idx);
+    void restartChain(std::uint64_t cid);
+    void resumeChainAt(Time delay, std::uint64_t cid, std::size_t idx);
+    double discardWork(std::optional<std::size_t> g = std::nullopt);
+    std::size_t redispatchLocalChains(std::size_t g);
+    bool prepOut(const GroupState &gs) const;
+    const std::vector<StageTemplate> &selectStages(const ChainRun &run)
+        const;
+    double effectiveOffload(std::size_t g) const;
 
     // --- elastic-capacity path (never reached when elastic_ is null) -
     void onElasticEvent(const ElasticEvent &ev);
@@ -464,16 +476,9 @@ class TrainingSession
     void onRepair(const FaultEvent &ev);
     void onFatalCrash(const FaultEvent &ev);
     void onCheckpointResume();
-    void launchFaultChain(std::size_t g, bool offload, double samples);
-    void startChainStage(std::uint64_t cid, std::size_t idx);
     bool handleReadFailure(std::uint64_t cid, std::size_t idx);
     bool handleCorruption(std::uint64_t cid, std::size_t idx);
     static bool chainVerifiesFrom(const ChainRun &run, std::size_t idx);
-    bool prepOut(const GroupState &gs) const;
-    const std::vector<StageTemplate> &selectStages(const ChainRun &run)
-        const;
-    double effectiveOffload(std::size_t g) const;
-    std::size_t redispatchLocalChains(std::size_t g);
 
     /**
      * Freeze the SessionResult at the completion instant (still inside

@@ -25,7 +25,7 @@ struct Scenario
 
     struct FlowInfo
     {
-        FlowId id;
+        FlowId id = 0;
         double rateCap;
         double fairWeight;
         std::vector<FlowDemand> demands;
@@ -103,8 +103,9 @@ TEST_P(FluidProperty, AllocationIsFeasibleAndMaxMin)
     for (const auto &f : s.flows) {
         const double rate = s.net.flowRate(f.id);
         ASSERT_GE(rate, 0.0);
-        if (f.rateCap > 0.0)
+        if (f.rateCap > 0.0) {
             ASSERT_LE(rate, f.rateCap * (1.0 + 1e-9));
+        }
         for (const auto &d : f.demands)
             load[d.resource] += d.weight * rate;
         any_active = true;

@@ -25,8 +25,9 @@ void
 expectGraceful(const std::vector<std::uint8_t> &bytes)
 {
     const DecodeResult res = decodeJpeg(bytes);
-    if (!res.ok)
+    if (!res.ok) {
         EXPECT_FALSE(res.error.empty());
+    }
 }
 
 TEST(JpegCorrupt, EveryTruncatedPrefixFailsCleanly)
@@ -41,8 +42,9 @@ TEST(JpegCorrupt, EveryTruncatedPrefixFailsCleanly)
         // A strict prefix is missing at least the EOI scan tail; it may
         // decode only if the full scan happens to fit, and must
         // otherwise fail with a message.
-        if (!res.ok)
+        if (!res.ok) {
             EXPECT_FALSE(res.error.empty()) << "prefix length " << len;
+        }
     }
 }
 

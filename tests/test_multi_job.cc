@@ -90,8 +90,9 @@ TEST(MultiJob, DeficitsServedLargestFirst)
     const JobAllocation &tfsr = plan.jobs[1];
     const JobAllocation &tfaa = plan.jobs[2];
     EXPECT_GT(tfaa.deficitFpgas, tfsr.deficitFpgas);
-    if (plan.fpgasLent < tfaa.deficitFpgas + tfsr.deficitFpgas)
+    if (plan.fpgasLent < tfaa.deficitFpgas + tfsr.deficitFpgas) {
         EXPECT_GE(tfaa.borrowedFpgas, tfsr.borrowedFpgas);
+    }
 }
 
 TEST(Reconfig, ImageToAudioKeepsInterfacingBlocks)

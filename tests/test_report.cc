@@ -101,9 +101,11 @@ TEST(SessionReport, TrainBoxBottleneckIsTheAccelerator)
     EXPECT_NEAR(r.targetFraction(), 1.0, 1e-3);
 
     // Host axes are nearly idle (the point of the design).
-    for (const Bottleneck &b : ranked)
-        if (b.kind == "cpu")
+    for (const Bottleneck &b : ranked) {
+        if (b.kind == "cpu") {
             EXPECT_LT(b.utilization, 0.2);
+        }
+    }
 }
 
 TEST(SessionReport, MetricsOffFallsBackToHostAxes)

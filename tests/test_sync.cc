@@ -52,8 +52,9 @@ TEST_P(AllReduceShape, RingMatchesDirectSum)
         for (std::size_t i = 0; i < len; ++i)
             ASSERT_NEAR(buffers[d][i], expected[i], 1e-4)
                 << "device " << d << " element " << i;
-    if (n > 1)
+    if (n > 1) {
         EXPECT_EQ(stats.steps, 2 * (n - 1));
+    }
 }
 
 TEST_P(AllReduceShape, TreeMatchesDirectSum)

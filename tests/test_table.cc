@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "common/table.hh"
 
 namespace tb {
@@ -53,6 +56,40 @@ TEST(Table, PrintsCsv)
     t.printCsv(mem);
     std::fclose(mem);
     EXPECT_EQ(std::string(buf), "a,b\n1,2\n");
+}
+
+/** Fields per line of RFC 4180 @p csv (quoted fields hold no newline). */
+std::vector<std::size_t>
+csvFieldCounts(const std::string &csv)
+{
+    std::vector<std::size_t> counts;
+    std::size_t fields = 1;
+    bool quoted = false;
+    for (const char c : csv) {
+        if (c == '"') {
+            quoted = !quoted; // a doubled quote toggles twice
+        } else if (!quoted && c == ',') {
+            ++fields;
+        } else if (!quoted && c == '\n') {
+            counts.push_back(fields);
+            fields = 1;
+        }
+    }
+    return counts;
+}
+
+TEST(Table, CsvQuotesCommaAndQuote)
+{
+    Table t({"config", "note", "value"});
+    t.row().add("Current (8 Titan XP, PCIe)").add("a \"b\"").add("5.7");
+    char buf[256] = {0};
+    std::FILE *mem = fmemopen(buf, sizeof(buf), "w");
+    t.printCsv(mem);
+    std::fclose(mem);
+    const std::string out(buf);
+    EXPECT_EQ(out, "config,note,value\n"
+                   "\"Current (8 Titan XP, PCIe)\",\"a \"\"b\"\"\",5.7\n");
+    EXPECT_EQ(csvFieldCounts(out), (std::vector<std::size_t>{3, 3}));
 }
 
 } // namespace

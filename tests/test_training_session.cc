@@ -310,5 +310,34 @@ TEST(SessionSolves, AtMostOneSolvePerEvent)
     }
 }
 
+// kill() cancels every in-flight prep chain, also in a session with
+// faults and elasticity off: the dead job leaves no flow on the shared
+// core, and no callback of it runs afterwards.
+TEST(SessionKill, CancelsFaultFreeChains)
+{
+    SimulationCore core;
+    ServerConfig cfg;
+    cfg.preset = ArchPreset::TrainBox;
+    cfg.model = workload::ModelId::Resnet50;
+    cfg.numAccelerators = 32;
+    auto server = buildServer(cfg, &core, "job0.");
+    TraceWriter trace;
+    TrainingSession session(*server);
+    session.setTrace(&trace);
+    session.start(4, 8);
+    while (session.stepsSynced() < 2 && core.events().step()) {
+    }
+    ASSERT_EQ(session.stepsSynced(), 2u);
+    ASSERT_GT(core.fluid().numActive(), 0u);
+
+    session.kill();
+    EXPECT_EQ(core.fluid().numActive(), 0u);
+    // Each session callback traces a span (prep stage, compute, sync).
+    const std::size_t traced = trace.numEvents();
+    while (core.events().step()) {
+    }
+    EXPECT_EQ(trace.numEvents(), traced);
+}
+
 } // namespace
 } // namespace tb
