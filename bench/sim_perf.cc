@@ -23,7 +23,7 @@
  *  - eq_churn: EventQueue schedule/cancel/step microbenchmark — the
  *    lazy-tombstone cancel path under load.
  *
- * Output: a table on stdout plus BENCH_sim_perf.json (see --out). Each
+ * Output: a table on stdout, plus a JSON file when --out is given. Each
  * row holds the wall time, the events run, µs/event and the solver's
  * work counters (solves, components solved, flows solved, flows
  * re-anchored, completion-heap operations), plus the scenario metric.
@@ -38,7 +38,7 @@
  *
  * Flags:
  *   --smoke            small sizes for CI (64 accs, 1k-flow fleet)
- *   --out <path>       JSON output path (default BENCH_sim_perf.json)
+ *   --out <path>       write the rows as JSON to <path> (no file without it)
  *   --baseline <path>  gate against a committed JSON (exit 3 on a miss)
  */
 
@@ -192,12 +192,11 @@ runFleet(const char *caseName, std::size_t jobs,
         net.startFlow(std::move(spec));
     };
 
-    {
-        FluidNetwork::FlowBatch batch(net);
+    eq.runAs(0, [&] {
         for (std::size_t j = 0; j < jobs; ++j)
             for (std::size_t k = 0; k < jobFlows[j]; ++k)
                 launch(j);
-    }
+    });
 
     // Measure steady-state churn only (setup + initial solve excluded).
     const std::uint64_t startEvents = eq.numExecuted();
@@ -485,7 +484,7 @@ int
 main(int argc, char **argv)
 {
     bool smoke = false;
-    std::string outPath = "BENCH_sim_perf.json";
+    std::string outPath;
     std::string baselinePath;
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--smoke") == 0) {
@@ -564,8 +563,10 @@ main(int argc, char **argv)
                         r.work.flowsReanchored));
     }
 
-    writeJson(outPath, results, smoke);
-    std::printf("\nwrote %s\n", outPath.c_str());
+    if (!outPath.empty()) {
+        writeJson(outPath, results, smoke);
+        std::printf("\nwrote %s\n", outPath.c_str());
+    }
 
     if (!baselinePath.empty() &&
         !gateAgainstBaseline(baselinePath, results))

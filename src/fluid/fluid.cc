@@ -281,6 +281,10 @@ FluidNetwork::addMembership(FluidFlow &flow)
 void
 FluidNetwork::detach(FluidFlow &flow)
 {
+    (flow.ownerPrev ? flow.ownerPrev->ownerNext : owned_[flow.owner]) =
+        flow.ownerNext;
+    if (flow.ownerNext)
+        flow.ownerNext->ownerPrev = flow.ownerPrev;
     settle(flow.unsettled);
     shiftLoad(flow, 0.0, eq_.now());
     for (std::size_t i = 0; i < flow.demands.size(); ++i) {
@@ -316,6 +320,9 @@ FluidNetwork::startFlow(FlowSpec spec)
     const FlowId id = nextId_++;
     FluidFlow flow;
     flow.id = id;
+    flow.owner = eq_.owner();
+    panic_if(eq_.released(flow.owner),
+             "owner %u started a flow after its release", flow.owner);
     flow.category = internCategory(spec.category);
     flow.remaining = spec.size;
     flow.anchor = now;
@@ -325,6 +332,12 @@ FluidNetwork::startFlow(FlowSpec spec)
     flow.demands = std::move(spec.demands);
     flow.onComplete = std::move(spec.onComplete);
     FluidFlow &f = flows_.emplace(id, std::move(flow)).first->second;
+    if (f.owner >= owned_.size())
+        owned_.resize(f.owner + 1, nullptr);
+    f.ownerNext = owned_[f.owner];
+    if (f.ownerNext)
+        f.ownerNext->ownerPrev = &f;
+    owned_[f.owner] = &f;
     addMembership(f);
     markFlowDirty(f);
     heapPush(&f);
@@ -351,6 +364,24 @@ FluidNetwork::cancelFlow(FlowId id)
             activeFlowsGauge_->set(static_cast<double>(flows_.size()));
         }
     }
+    afterMutation();
+}
+
+void
+FluidNetwork::release(OwnerId owner)
+{
+    if (owner >= owned_.size() || owned_[owner] == nullptr)
+        return;
+    while (FluidFlow *flow = owned_[owner]) {
+        const FlowId id = flow->id;
+        heapRemove(flow);
+        detach(*flow);
+        flows_.erase(id);
+        if (flowsCancelledCtr_)
+            flowsCancelledCtr_->inc();
+    }
+    if (activeFlowsGauge_)
+        activeFlowsGauge_->set(static_cast<double>(flows_.size()));
     afterMutation();
 }
 
@@ -421,20 +452,10 @@ FluidNetwork::resetAccounting(std::size_t begin, std::size_t end)
 void
 FluidNetwork::afterMutation()
 {
-    if (batchDepth_ > 0)
-        return;
     if (eq_.inEvent())
         eq_.requestEventEnd();
     else
         commit();
-}
-
-void
-FluidNetwork::endBatch()
-{
-    panic_if(batchDepth_ == 0, "endBatch without beginBatch");
-    if (--batchDepth_ == 0)
-        afterMutation();
 }
 
 void
@@ -692,7 +713,10 @@ void
 FluidNetwork::scheduleCompletion()
 {
     // One pending event, at the top of the heap; it moves only when the
-    // top's key does.
+    // top's key does. It serves every owner's flows, so it is unowned:
+    // commits run between events or at an event's end, as owner 0.
+    panic_if(eq_.owner() != 0, "completion event scheduled by owner %u",
+             eq_.owner());
     const Time top = heap_.empty() ? kInf : heap_.front()->finish;
     if (pending_.valid() && top == pendingAt_)
         return;
@@ -720,11 +744,11 @@ FluidNetwork::completeEarliest()
     }
     std::sort(done.begin(), done.end(), byId);
 
-    std::vector<std::function<void(Time)>> callbacks;
+    std::vector<std::pair<OwnerId, std::function<void(Time)>>> callbacks;
     callbacks.reserve(done.size());
     for (FluidFlow *flow : done) {
         detach(*flow);
-        callbacks.push_back(std::move(flow->onComplete));
+        callbacks.emplace_back(flow->owner, std::move(flow->onComplete));
         flows_.erase(flow->id);
     }
 
@@ -736,9 +760,13 @@ FluidNetwork::completeEarliest()
     // The callbacks' own starts join this solve at the end of the event.
     afterMutation();
 
-    for (auto &cb : callbacks)
-        if (cb)
-            cb(now);
+    // Each callback runs as its flow's owner. An earlier callback may
+    // have released that owner; its completions are cancelled then.
+    for (auto &entry : callbacks) {
+        std::function<void(Time)> &cb = entry.second;
+        if (cb && !eq_.released(entry.first))
+            eq_.runAs(entry.first, [&cb, now] { cb(now); });
+    }
 }
 
 void

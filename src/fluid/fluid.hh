@@ -34,8 +34,14 @@
  * starts, cancels and capacity changes only mark the dirty set; the
  * solve, the load settling and the completion-event reschedule run once,
  * when the callback returns (the network is the queue's event-end hook).
- * Outside events a mutation commits at once, unless a FlowBatch is open.
- * flowRate() runs a pending solve first, so a rate read is never stale.
+ * Code run through EventQueue::runAs() outside an event counts as one;
+ * any other mutation outside events commits at once. flowRate() runs a
+ * pending solve first, so a rate read is never stale.
+ *
+ * A flow belongs to the queue's running owner when it starts, and its
+ * completion callback runs as that owner. release(owner) cancels every
+ * flow of one owner. The completion event and the commit are unowned:
+ * they serve every owner's flows, so no release can take them away.
  *
  * The engine also performs per-category accounting on every resource
  * (bytes moved for "data_load" vs "formatting" vs ...), which is what the
@@ -208,6 +214,7 @@ struct FlowSpec
 struct FluidFlow
 {
     FlowId id;
+    OwnerId owner = 0;      ///< the queue's owner when it started
     std::uint32_t category; ///< interned accounting category
     double remaining;       ///< base units left at `anchor`
     Time anchor;
@@ -230,6 +237,9 @@ struct FluidFlow
     std::vector<std::uint32_t> accountSlot;
     std::uint64_t mark = 0; ///< BFS visit epoch (gather + components)
     std::size_t heapPos = 0; ///< index in the completion heap
+    /** Neighbours in the owner's list of live flows. */
+    FluidFlow *ownerPrev = nullptr;
+    FluidFlow *ownerNext = nullptr;
 };
 
 /**
@@ -290,35 +300,6 @@ class FluidNetwork
         std::uint64_t heapOps = 0;
     };
 
-    /**
-     * RAII batch scope for mutations made outside an event (an event
-     * callback is already one batch): while at least one FlowBatch is
-     * alive, startFlow, cancelFlow and capacityChanged only mark the
-     * dirty set, which is solved once when the outermost batch ends.
-     * Launching k flows at one timestamp costs one solve instead of k.
-     * flowRate() still solves first; the completion event is stale
-     * until the batch closes, so don't step the EventQueue inside it.
-     * Rates equal those of unbatched calls, since component solves are
-     * from scratch; finish times can differ in the last bits, because a
-     * flow is no longer re-anchored at an intermediate rate (see
-     * docs/PERFORMANCE.md, "One solve per event").
-     */
-    class FlowBatch
-    {
-      public:
-        explicit FlowBatch(FluidNetwork &net) : net_(net)
-        {
-            net_.beginBatch();
-        }
-        ~FlowBatch() { net_.endBatch(); }
-
-        FlowBatch(const FlowBatch &) = delete;
-        FlowBatch &operator=(const FlowBatch &) = delete;
-
-      private:
-        FluidNetwork &net_;
-    };
-
     explicit FluidNetwork(EventQueue &eq);
     ~FluidNetwork();
 
@@ -364,9 +345,15 @@ class FluidNetwork
     void cancelFlow(FlowId id);
 
     /**
+     * Cancel every flow of @p owner (see EventQueue::release), in time
+     * proportional to their number.
+     */
+    void release(OwnerId owner);
+
+    /**
      * Current allocated base rate of a flow (0 when unknown/starved).
-     * Runs any pending solve first, so inside an event or a batch it is
-     * not a pure read: it re-anchors the flows whose rates change at
+     * Runs any pending solve first, so inside an event it is not a pure
+     * read: it re-anchors the flows whose rates change at
      * that point, and later finish times can differ in the last bits
      * from a run that does not read (docs/PERFORMANCE.md, "One solve
      * per event"). Between events there is nothing pending.
@@ -436,13 +423,10 @@ class FluidNetwork
     friend class FluidResource;
 
     /**
-     * Commit a mutation: at once outside events and batches, at the
-     * end of the current event inside one, at batch close inside a
-     * FlowBatch.
+     * Commit a mutation: at the end of the current event inside one
+     * (runAs() included), at once outside events.
      */
     void afterMutation();
-    void beginBatch() { ++batchDepth_; }
-    void endBatch();
     /** Solve, settle the loads and move the completion event. */
     void commit();
 
@@ -514,8 +498,8 @@ class FluidNetwork
     /** Register a flow in its resources' member lists. */
     void addMembership(FluidFlow &flow);
     /**
-     * Take a leaving flow out of its resources' loads and member lists,
-     * and mark those resources dirty.
+     * Take a leaving flow out of its resources' loads and member lists
+     * and its owner's list, and mark those resources dirty.
      */
     void detach(FluidFlow &flow);
 
@@ -542,6 +526,8 @@ class FluidNetwork
     std::string namePrefix_;
     std::map<FlowId, FluidFlow> flows_;
     FlowId nextId_ = 1;
+    /** Head of each owner's list of live flows, by owner id. */
+    std::vector<FluidFlow *> owned_;
     std::vector<FluidFlow *> heap_; ///< completion heap
     EventId pending_{};
     Time pendingAt_ = 0.0; ///< heap key the pending event was set for
@@ -556,14 +542,13 @@ class FluidNetwork
 
     SolverMode mode_ = SolverMode::Incremental;
     SolverStats stats_;
-    unsigned batchDepth_ = 0;
     std::uint64_t mark_ = 0; ///< BFS epoch source
 
     /** Resources touched since the last solve (dirty_ flag set). */
     std::vector<FluidResource *> dirtyResources_;
     /**
      * Flows touched since the last solve, by id — ids, not pointers,
-     * because a flow can be started and cancelled within one batch.
+     * because a flow can be started and cancelled within one event.
      * Also covers demandless (cap-only) flows, which no resource
      * member list reaches.
      */

@@ -1,6 +1,7 @@
 #include "sim/event_queue.hh"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/logging.hh"
 
@@ -11,7 +12,9 @@ EventQueue::schedule(Time when, Callback cb, int priority)
 {
     panic_if(when < now_, "scheduling event in the past (%g < %g)",
              when, now_);
-    const Key key{when, priority, nextSeq_++};
+    panic_if(released_[owner_], "owner %u scheduled after its release",
+             owner_);
+    const Key key{when, priority, owner_, nextSeq_++};
     heap_.push_back(Entry{key, std::move(cb)});
     std::push_heap(heap_.begin(), heap_.end(), EntryAfter{});
     pending_.insert(key.seq);
@@ -23,31 +26,6 @@ EventQueue::scheduleIn(Time delay, Callback cb, int priority)
 {
     panic_if(delay < 0.0, "negative event delay %g", delay);
     return schedule(now_ + delay, std::move(cb), priority);
-}
-
-std::vector<EventId>
-EventQueue::scheduleBatch(std::vector<std::pair<Time, Callback>> items,
-                          int priority)
-{
-    std::vector<EventId> ids;
-    ids.reserve(items.size());
-    // A batch larger than the live set re-heapifies once; smaller
-    // batches sift entries in individually.
-    const bool rebuild = items.size() > heap_.size();
-    heap_.reserve(heap_.size() + items.size());
-    for (auto &[when, cb] : items) {
-        panic_if(when < now_, "scheduling event in the past (%g < %g)",
-                 when, now_);
-        const Key key{when, priority, nextSeq_++};
-        heap_.push_back(Entry{key, std::move(cb)});
-        if (!rebuild)
-            std::push_heap(heap_.begin(), heap_.end(), EntryAfter{});
-        pending_.insert(key.seq);
-        ids.push_back(EventId{key.seq});
-    }
-    if (rebuild)
-        std::make_heap(heap_.begin(), heap_.end(), EntryAfter{});
-    return ids;
 }
 
 bool
@@ -84,6 +62,29 @@ EventQueue::compact()
     std::make_heap(heap_.begin(), heap_.end(), EntryAfter{});
 }
 
+OwnerId
+EventQueue::newOwner()
+{
+    released_.push_back(false);
+    return static_cast<OwnerId>(released_.size() - 1);
+}
+
+void
+EventQueue::release(OwnerId owner)
+{
+    panic_if(owner == 0 || owner >= released_.size(),
+             "release of unknown owner %u", owner);
+    if (released_[owner])
+        return;
+    released_[owner] = true;
+    bool any = false;
+    for (const Entry &e : heap_)
+        if (e.key.owner == owner && pending_.erase(e.key.seq) > 0)
+            any = true;
+    if (any)
+        compact();
+}
+
 void
 EventQueue::setEventEndHook(Callback hook)
 {
@@ -113,13 +114,12 @@ EventQueue::step()
     pending_.erase(entry.key.seq);
     now_ = entry.key.when;
     ++numExecuted_;
+    owner_ = entry.key.owner;
     inEvent_ = true;
     entry.cb();
     inEvent_ = false;
-    if (eventEndDue_) {
-        eventEndDue_ = false;
-        eventEndHook_();
-    }
+    owner_ = 0;
+    endEvent();
     return true;
 }
 

@@ -19,6 +19,12 @@
  * returns. The fluid network uses it to re-solve once per event however
  * many flows the callback started or cancelled; an event that asks for
  * nothing pays one flag test.
+ *
+ * Every event belongs to an owner: the one running when it was
+ * scheduled (the running event's owner, or runAs()'s). Owner 0 is
+ * unowned. release(owner) cancels every pending event of an owner, and
+ * from then on a schedule by that owner panics, so a client that ends
+ * leaves nothing behind on a shared queue (docs/FLEET.md, "Ownership").
  */
 
 #ifndef TRAINBOX_SIM_EVENT_QUEUE_HH
@@ -27,12 +33,14 @@
 #include <cstdint>
 #include <functional>
 #include <unordered_set>
-#include <utility>
 #include <vector>
 
 #include "common/units.hh"
 
 namespace tb {
+
+/** A client of the queue; events and flows carry one (0 = unowned). */
+using OwnerId = std::uint32_t;
 
 /** Handle identifying a scheduled event; usable for cancellation. */
 struct EventId
@@ -74,18 +82,6 @@ class EventQueue
     EventId scheduleIn(Time delay, Callback cb,
                        int priority = defaultPriority);
 
-    /**
-     * Bulk insert: schedule every (when, callback) pair of @p items at
-     * @p priority. Handles are returned in input order, and ties between
-     * batch members keep input order (each entry draws the next sequence
-     * number, exactly as repeated schedule() calls would). When the batch
-     * is large relative to the pending set the heap is rebuilt in one
-     * O(n + k) pass instead of k O(log n) sifts.
-     */
-    std::vector<EventId>
-    scheduleBatch(std::vector<std::pair<Time, Callback>> items,
-                  int priority = defaultPriority);
-
     /** Cancel a pending event. Returns false if already fired/cancelled. */
     bool cancel(EventId &id);
 
@@ -107,8 +103,47 @@ class EventQueue
     /** Total number of events executed so far. */
     std::uint64_t numExecuted() const { return numExecuted_; }
 
-    /** True while step() is running an event's callback. */
+    /** True while step() runs an event's callback, or runAs() its code. */
     bool inEvent() const { return inEvent_; }
+
+    /** A fresh owner id (1, 2, ...), never released yet. */
+    OwnerId newOwner();
+
+    /** The owner of the code running now (0 between events). */
+    OwnerId owner() const { return owner_; }
+
+    /** Has @p owner been released? (Owner 0 never is.) */
+    bool released(OwnerId owner) const { return released_[owner]; }
+
+    /**
+     * Run @p fn as @p owner: what it schedules, and the flows it
+     * starts, belong to @p owner. Inside an event this only switches
+     * the owner. Outside one, @p fn counts as an event of its own: the
+     * event-end hook runs once when it returns, so the flows it starts
+     * are solved together.
+     */
+    template <typename Fn>
+    void
+    runAs(OwnerId owner, Fn &&fn)
+    {
+        const OwnerId outer = owner_;
+        const bool nested = inEvent_;
+        owner_ = owner;
+        inEvent_ = true;
+        fn();
+        owner_ = outer;
+        inEvent_ = nested;
+        if (!nested)
+            endEvent();
+    }
+
+    /**
+     * Cancel every pending event of @p owner (nonzero) and mark it
+     * released: a later schedule by it panics. Idempotent. Costs one
+     * pass over the heap, which on a private core holds little besides
+     * the owner's own events.
+     */
+    void release(OwnerId owner);
 
     /**
      * Register the queue's one event-end hook (nullptr removes it).
@@ -145,6 +180,7 @@ class EventQueue
     {
         Time when;
         int priority;
+        OwnerId owner; ///< fills the padding; not part of the order
         std::uint64_t seq;
 
         bool
@@ -180,6 +216,16 @@ class EventQueue
     /** Sweep all tombstones and re-heapify (amortized by cancel()). */
     void compact();
 
+    /** Run the event-end hook if the code that just ran asked for it. */
+    void
+    endEvent()
+    {
+        if (eventEndDue_) {
+            eventEndDue_ = false;
+            eventEndHook_();
+        }
+    }
+
     /** Default compaction threshold; small queues never sweep. */
     static constexpr std::size_t kDefaultCompactMinHeap = 64;
 
@@ -190,6 +236,8 @@ class EventQueue
     bool inEvent_ = false;
     bool eventEndDue_ = false;
     Callback eventEndHook_;
+    OwnerId owner_ = 0;
+    std::vector<bool> released_{false}; ///< by owner id; owner 0 stays false
 
     // mutable so the const observers (nextTime) can discard tombstones;
     // purging never changes observable state.

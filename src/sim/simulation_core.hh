@@ -9,14 +9,16 @@
  *
  *   - the EventQueue (and with it the simulated clock),
  *   - the FluidNetwork contention engine attached to that queue,
- *   - the MetricsRegistry both of them report into,
- *   - the registered ScheduleSource previews (fault/elastic/ingest
- *     disturbance timelines) of every client session.
+ *   - the MetricsRegistry both of them report into.
  *
  * A standalone Server still constructs a private core, so the
  * single-session API is a thin shim with unchanged semantics; a fleet
  * constructs one core and passes it to every server it builds, giving
- * all jobs one clock, one solver, and one merged disturbance timeline.
+ * all jobs one clock and one solver.
+ *
+ * Each client of a shared core takes an owner id (newOwner()). Its
+ * events and flows carry that id, and release() removes them all, so a
+ * client that ends leaves nothing running on the core.
  *
  * Header-only: the core is pure composition (the heavy lifting lives in
  * EventQueue/FluidNetwork), and keeping it out of libtb_sim avoids a
@@ -27,21 +29,16 @@
 #define TRAINBOX_SIM_SIMULATION_CORE_HH
 
 #include <algorithm>
-#include <memory>
-#include <utility>
-#include <vector>
 
 #include "fluid/fluid.hh"
 #include "sim/event_queue.hh"
 #include "sim/metrics.hh"
-#include "sim/schedule_source.hh"
 
 namespace tb {
 
 /**
  * Owns the discrete-event timeline and the resources every client
- * shares: event queue, fluid network, metrics registry, and the
- * disturbance-schedule previews registered by client sessions.
+ * shares: event queue, fluid network and metrics registry.
  */
 class SimulationCore
 {
@@ -66,6 +63,20 @@ class SimulationCore
     /** Current simulated time in seconds. */
     Time now() const { return eq_.now(); }
 
+    /** A fresh owner id for one client (see EventQueue::runAs). */
+    OwnerId newOwner() { return eq_.newOwner(); }
+
+    /**
+     * Cancel every pending event and flow of @p owner; from then on a
+     * schedule or flow start by it panics. Idempotent.
+     */
+    void
+    release(OwnerId owner)
+    {
+        net_.release(owner);
+        eq_.release(owner);
+    }
+
     /**
      * Resize the event queue's tombstone-compaction threshold from the
      * current live-event count. One session keeps the stock threshold;
@@ -81,56 +92,10 @@ class SimulationCore
             std::max<std::size_t>(64, 4 * eq_.size()));
     }
 
-    /**
-     * Register one client's disturbance-schedule preview (fault,
-     * elastic, or ingest). The core owns the source; @p targets records
-     * the victim space the client's injector draws from.
-     */
-    void
-    addScheduleSource(std::unique_ptr<ScheduleSource> source,
-                      const ScheduleTargets &targets)
-    {
-        if (source)
-            sources_.push_back(Registered{std::move(source), targets});
-    }
-
-    /** Registered sources, in registration order. */
-    std::size_t numScheduleSources() const { return sources_.size(); }
-
-    /**
-     * Merge every registered source's preview into one time-sorted
-     * timeline over [0, horizon). Pure: never perturbs the run.
-     */
-    std::vector<SchedulePreviewEntry>
-    schedulePreview(Time horizon) const
-    {
-        std::vector<SchedulePreviewEntry> out;
-        for (const Registered &reg : sources_) {
-            if (!reg.source->enabled())
-                continue;
-            auto entries = reg.source->preview(reg.targets, horizon);
-            out.insert(out.end(), std::make_move_iterator(entries.begin()),
-                       std::make_move_iterator(entries.end()));
-        }
-        std::stable_sort(out.begin(), out.end(),
-                         [](const SchedulePreviewEntry &a,
-                            const SchedulePreviewEntry &b) {
-                             return a.at < b.at;
-                         });
-        return out;
-    }
-
   private:
-    struct Registered
-    {
-        std::unique_ptr<ScheduleSource> source;
-        ScheduleTargets targets;
-    };
-
     EventQueue eq_;
     FluidNetwork net_;
     MetricsRegistry metrics_;
-    std::vector<Registered> sources_;
 };
 
 } // namespace tb

@@ -68,16 +68,6 @@ Checkpointer::Checkpointer(Server &server, TraceWriter *trace)
             total * static_cast<double>(g.numAccelerators) / n_acc);
 }
 
-Checkpointer::~Checkpointer()
-{
-    // Abandon an unfinished drain (run ended mid-flight): suppress the
-    // completions so they cannot reach a dead checkpointer.
-    for (FlowId f : drainFlows_)
-        server_.core().fluid().cancelFlow(f);
-    if (snapshotEv_.valid())
-        server_.core().events().cancel(snapshotEv_);
-}
-
 Bytes
 Checkpointer::totalBytes() const
 {

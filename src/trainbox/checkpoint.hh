@@ -140,7 +140,9 @@ struct CheckpointStats
  * boundary and crash()/restarted() around fatal faults; the
  * checkpointer owns the drain flows (built from each PrepGroup's
  * checkpointWrite template), the durable-state bookkeeping, and the
- * wall-time ledger behind SessionResult::efficiency().
+ * wall-time ledger behind SessionResult::efficiency(). Its events and
+ * flows belong to the session's owner, and the session's release
+ * removes them, so a checkpointer has no teardown of its own.
  */
 class Checkpointer
 {
@@ -150,7 +152,6 @@ class Checkpointer
      *              the run, same contract as TrainingSession::setTrace)
      */
     Checkpointer(Server &server, TraceWriter *trace);
-    ~Checkpointer();
 
     Checkpointer(const Checkpointer &) = delete;
     Checkpointer &operator=(const Checkpointer &) = delete;

@@ -6,7 +6,6 @@
 #include "common/field_writer.hh"
 #include "common/logging.hh"
 #include "common/math_util.hh"
-#include "sim/schedule_source.hh"
 #include "trainbox/train_initializer.hh"
 
 namespace tb {
@@ -386,9 +385,9 @@ FleetSimulation::onJobDone(std::size_t j)
     job.cumFaults += job.result.report.faults().faultsInjected;
     ++terminal_;
 
-    // Release held capacity. The server itself stays alive: post-done
-    // flows may still drain on the shared core (training_session.cc
-    // guards make them no-ops).
+    // Release held capacity. The session released everything it had
+    // on the core when it finished; the pair stays in the job slot
+    // (this runs inside the session's last event).
     releaseCapacity(job);
 
     tryAdmit();
@@ -465,11 +464,10 @@ FleetSimulation::killJob(std::size_t j)
                                        : 0;
     job.measureDone += std::min(banked, attempt_measure - 1);
 
-    // The dead attempt's server/session must outlive it (stray flows
-    // drain into guarded no-ops), but the job slot needs room for the
-    // retry: retire the pair.
-    retiredServers_.push_back(std::move(job.server));
-    retiredSessions_.push_back(std::move(job.session));
+    // kill() left nothing of the dead attempt on the core: destroy it
+    // (the session before its server) to make room for the retry.
+    job.session.reset();
+    job.server.reset();
     job.running = false;
     releaseCapacity(job);
 
@@ -616,11 +614,6 @@ FleetSimulation::run()
     // disabled path schedules zero events and every sequence number —
     // and therefore every pinned golden — stays bit-identical.
     if (cfg_.faults.enabled) {
-        ScheduleTargets targets;
-        targets.numHosts = hosts_.size();
-        core_.addScheduleSource(
-            std::make_unique<FleetFaultScheduleSource>(cfg_.faults),
-            targets);
         fleetFaults_ = std::make_unique<FleetFaultInjector>(
             cfg_.faults, hosts_.size(), cfg_.horizon);
         faultApplied_.assign(fleetFaults_->events().size(), 0);
@@ -634,8 +627,9 @@ FleetSimulation::run()
             });
     }
 
-    // Injector streams self-rearm forever, so the queue never drains on
-    // a disturbed run: stop on all-jobs-done (or the safety horizon).
+    // A running job's injector streams re-arm until the job ends, and
+    // the fleet's own horizon and fault events outlive the jobs: stop
+    // on all-jobs-done (or the safety horizon).
     while (!allDone() && !horizonHit_ && eq.step()) {
     }
     panic_if(!allDone() && !horizonHit_,

@@ -378,11 +378,10 @@ class FleetSimulation
         FleetJobSpec spec;
         std::size_t boxesNeeded = 0;
         FleetJobResult result;
-        // Admitted jobs own a server + session until the run ends:
-        // post-done flows may still drain on the shared core, so
-        // teardown mid-run would dangle callbacks. Retired attempt
-        // pairs (failed, replaced by a retry) move to the graveyard
-        // below for the same reason.
+        // The current attempt's server + session (session declared
+        // last, so it is destroyed first). A finished or killed
+        // session holds nothing on the shared core, so a killed
+        // attempt is destroyed on the spot.
         std::unique_ptr<Server> server;
         std::unique_ptr<TrainingSession> session;
         bool waiting = false;
@@ -456,10 +455,6 @@ class FleetSimulation
 
     /** Per fault event: the severity its handler actually applied. */
     std::vector<std::size_t> faultApplied_;
-
-    /** Retired server/session pairs from failed attempts (see Job). */
-    std::vector<std::unique_ptr<Server>> retiredServers_;
-    std::vector<std::unique_ptr<TrainingSession>> retiredSessions_;
 };
 
 /** Convenience one-shot: build, run, report. */

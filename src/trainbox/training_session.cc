@@ -14,11 +14,16 @@ namespace tb {
 
 TrainingSession::TrainingSession(Server &server)
     : server_(server), eq_(server.core().events()),
-      net_(server.core().fluid())
+      net_(server.core().fluid()), owner_(server.core().newOwner())
 {
     groups_.resize(server_.groups.size());
     for (std::size_t g = 0; g < groups_.size(); ++g)
         groups_[g].spec = &server_.groups[g];
+}
+
+TrainingSession::~TrainingSession()
+{
+    server_.core().release(owner_);
 }
 
 bool
@@ -46,7 +51,7 @@ TrainingSession::launchPrep(std::size_t g)
     GroupState &gs = groups_[g];
     // Draining groups finish what is in flight but stop topping up the
     // window; detached/joining groups prep nothing.
-    if (done_ || down_ || gs.membership != Membership::Active)
+    if (down_ || gs.membership != Membership::Active)
         return;
     const double batch = groupBatchSamples(g);
     const double chunk = batch / static_cast<double>(chunksPerBatch());
@@ -172,12 +177,10 @@ TrainingSession::startChainStage(std::uint64_t cid, std::size_t idx)
         return;
     }
     const Time start = eq_.now();
-    const std::uint64_t epoch = run.epoch;
-    auto on_complete = [this, cid, idx, start, epoch](Time now) {
-        auto it = chains_.find(cid);
-        if (it == chains_.end() || it->second.epoch != epoch)
-            return;
-        ChainRun &run = it->second;
+    // A restart or discard cancels the flow, so the chain is still there
+    // on the same attempt when this runs.
+    auto on_complete = [this, cid, idx, start](Time now) {
+        ChainRun &run = chains_.find(cid)->second;
         run.flow = 0;
         const StageTemplate &done = (*run.stages)[idx];
         if (measuring()) {
@@ -201,7 +204,8 @@ TrainingSession::startChainStage(std::uint64_t cid, std::size_t idx)
 
 /**
  * Start chain @p cid over on fresh data, on the template for the group's
- * current health; pending resumes of the old attempt go stale.
+ * current health; the current stage's flow is cancelled, and a pending
+ * resume of the old attempt goes stale.
  */
 void
 TrainingSession::restartChain(std::uint64_t cid)
@@ -428,11 +432,6 @@ TrainingSession::handleCorruption(std::uint64_t cid, std::size_t idx)
 void
 TrainingSession::onFault(const FaultEvent &ev)
 {
-    // The injector's lazily chained schedule keeps firing on a shared
-    // core after this session finishes; a finished session ignores it
-    // (unreachable on a private core — the loop exits at done_).
-    if (done_)
-        return;
     if (activeFaultWindows_++ == 0)
         degradedStart_ = eq_.now();
     if (trace_)
@@ -475,11 +474,6 @@ TrainingSession::onFault(const FaultEvent &ev)
 void
 TrainingSession::onRepair(const FaultEvent &ev)
 {
-    // See onFault: post-completion repairs on a shared core are moot
-    // (the degradation interval was closed by finalizeResult()), and
-    // letting one through would underflow activeFaultWindows_.
-    if (done_)
-        return;
     switch (ev.kind) {
       case FaultKind::SsdDegrade:
         server_.ssds[ev.target]->setReadBandwidthScale(1.0);
@@ -519,9 +513,9 @@ TrainingSession::onRepair(const FaultEvent &ev)
 void
 TrainingSession::onFatalCrash(const FaultEvent &)
 {
-    // A crash while already down (or after the run finished) changes
-    // nothing: the machine is not running, so no extra state is lost.
-    if (done_ || down_)
+    // A crash while already down changes nothing: the machine is not
+    // running, so no extra state is lost.
+    if (down_)
         return;
     const Time now = eq_.now();
     const std::size_t at_step = syncedSteps_;
@@ -606,7 +600,7 @@ TrainingSession::replanOffload()
 void
 TrainingSession::onElasticEvent(const ElasticEvent &ev)
 {
-    if (done_ || ev.index >= groups_.size())
+    if (ev.index >= groups_.size())
         return;
     if (trace_)
         trace_->instant("elastic",
@@ -688,10 +682,6 @@ TrainingSession::preemptGroup(std::size_t g)
 void
 TrainingSession::detachGroup(std::size_t g, bool preempted)
 {
-    // A grace-window detach can land after the session finishes on a
-    // shared core; the frozen result must not see the teardown.
-    if (done_)
-        return;
     GroupState &gs = groups_[g];
     if (gs.membership == Membership::Detached)
         return;
@@ -740,8 +730,6 @@ TrainingSession::beginGroupJoin(std::size_t g)
 void
 TrainingSession::completeJoin(std::size_t g)
 {
-    if (done_)
-        return;
     GroupState &gs = groups_[g];
     accrueCapacity();
     gs.membership = Membership::Active;
@@ -784,7 +772,7 @@ TrainingSession::onPrepLeave(std::size_t g, bool planned)
         eq_.scheduleIn(server_.cfg.elasticity.graceWindow,
                               [this, g, epoch] {
             GroupState &gs = groups_[g];
-            if (done_ || gs.prepEpoch != epoch || !gs.prepElasticOut ||
+            if (gs.prepEpoch != epoch || !gs.prepElasticOut ||
                 gs.membership == Membership::Detached ||
                 gs.membership == Membership::Joining)
                 return;
@@ -915,8 +903,6 @@ TrainingSession::updateIngestOverload()
 void
 TrainingSession::onIngestArrival(const IngestArrival &ev)
 {
-    if (done_)
-        return;
     const IngestConfig &ic = server_.cfg.ingest;
     ++ingestStats_.arrivalEvents;
     ingestStats_.samplesArrived += ev.samples;
@@ -956,7 +942,7 @@ TrainingSession::onIngestArrival(const IngestArrival &ev)
 void
 TrainingSession::pumpIngestWrites()
 {
-    if (done_ || ingestWriting_ > 0.0 || ingestBuffered_ <= 1e-9)
+    if (ingestWriting_ > 0.0 || ingestBuffered_ <= 1e-9)
         return;
     const double chunk =
         std::min(ingestBuffered_, server_.cfg.ingest.writeChunkSamples);
@@ -983,11 +969,7 @@ TrainingSession::startIngestWrite(std::size_t attempt)
         server_.groups[ingestWriteGroup_].ingestWrite;
     ++ingestStats_.writeFlows;
     const Time start = eq_.now();
-    const std::uint64_t epoch = ingestWriteEpoch_;
-    net_.startFlow(st.flow(ingestWriting_, [this, attempt, epoch,
-                                            start](Time now) {
-        if (epoch != ingestWriteEpoch_)
-            return;
+    net_.startFlow(st.flow(ingestWriting_, [this, attempt, start](Time now) {
         if (trace_)
             trace_->complete("ingest", "ingest_write", start, now - start,
                              "ingest");
@@ -1005,10 +987,6 @@ TrainingSession::startIngestWrite(std::size_t attempt)
 void
 TrainingSession::onIngestWriteDone(std::size_t attempt)
 {
-    // A shard write in flight at completion lands after the ingest
-    // ledger froze; ignore it (unreachable on a private core).
-    if (done_)
-        return;
     const IngestConfig &ic = server_.cfg.ingest;
     const Time now = eq_.now();
     if (ingest_->writeAttemptFails()) {
@@ -1018,10 +996,7 @@ TrainingSession::onIngestWriteDone(std::size_t attempt)
                 trace_->instant("ingest", "write_retry", now, "ingest");
             const Time backoff = ic.writeRetryBackoff *
                 static_cast<double>(std::uint64_t{1} << attempt);
-            const std::uint64_t epoch = ingestWriteEpoch_;
-            eq_.scheduleIn(backoff, [this, attempt, epoch] {
-                if (done_ || epoch != ingestWriteEpoch_)
-                    return;
+            eq_.scheduleIn(backoff, [this, attempt] {
                 startIngestWrite(attempt + 1);
             });
             return;
@@ -1044,7 +1019,6 @@ TrainingSession::onIngestWriteDone(std::size_t attempt)
     }
     ingestWriting_ = 0.0;
     ingestWritingCohorts_.clear();
-    ++ingestWriteEpoch_;
     ingestWriteGroup_ = (ingestWriteGroup_ + 1) % server_.groups.size();
     updateIngestOverload();
     pumpIngestWrites();
@@ -1054,8 +1028,7 @@ void
 TrainingSession::tryStartCompute(std::size_t g)
 {
     GroupState &gs = groups_[g];
-    if (done_ || down_ || pausedForCkpt_ || ingestStalled_ ||
-        gs.computing ||
+    if (down_ || pausedForCkpt_ || ingestStalled_ || gs.computing ||
         gs.membership == Membership::Detached ||
         gs.membership == Membership::Joining ||
         gs.stepsComputed != syncedSteps_)
@@ -1137,7 +1110,7 @@ TrainingSession::onComputeDone(std::size_t g)
 void
 TrainingSession::stepComplete()
 {
-    if (done_ || down_ || pausedForCkpt_ || syncEv_.valid())
+    if (down_ || pausedForCkpt_ || syncEv_.valid())
         return;
     std::size_t attached = 0;
     for (const GroupState &gs : groups_) {
@@ -1195,15 +1168,18 @@ TrainingSession::onSyncDone()
     if (syncedSteps_ >= totalSteps_) {
         windowEnd_ = eq_.now();
         done_ = true;
-        // Freeze the result now: on a shared core other sessions keep
-        // simulating, and this session's stray in-flight completions
-        // must not leak into its numbers. Fire the completion hook
-        // last so a fleet scheduler sees a fully finalized session.
+        // Freeze the result, then release everything still in flight
+        // (prep chains, injector chains, a checkpoint drain): on a
+        // shared core other sessions keep simulating, and nothing of
+        // this one may run among them. The completion hook fires last,
+        // as owner 0, so a fleet scheduler sees a finished session and
+        // what it schedules is its own.
         finalizeResult();
+        server_.core().release(owner_);
         if (doneCb_) {
             auto cb = std::move(doneCb_);
             doneCb_ = nullptr;
-            cb();
+            eq_.runAs(0, cb);
         }
         return;
     }
@@ -1222,7 +1198,7 @@ void
 TrainingSession::onCheckpointResume()
 {
     pausedForCkpt_ = false;
-    if (done_ || down_)
+    if (down_)
         return;
     for (std::size_t g = 0; g < groups_.size(); ++g)
         tryStartCompute(g);
@@ -1241,7 +1217,15 @@ TrainingSession::start(std::size_t warmup, std::size_t measure)
     measureSteps_ = measure;
     totalSteps_ = warmup + measure;
     startNow_ = eq_.now();
+    // Everything the session schedules from here on is its own. Outside
+    // an event, runAs() also makes the first windows of every group,
+    // launched at one timestamp, cost one solve.
+    eq_.runAs(owner_, [this] { arm(); });
+}
 
+void
+TrainingSession::arm()
+{
     if (server_.metrics.enabled()) {
         MetricsRegistry &m = server_.metrics;
         // Session instruments share the server's resource namespace so
@@ -1257,30 +1241,6 @@ TrainingSession::start(std::size_t warmup, std::size_t measure)
                               "global steps synchronized in the window");
         chainsCtr_ = m.counter(p + "session.chains_completed",
                                "prep chains finished in the window");
-    }
-
-    // Register this session's disturbance previews with the core: the
-    // uniform ScheduleSource face over the three injector configs, so a
-    // fleet driver can merge every job's schedule onto one timeline
-    // (sim/schedule_source.hh). Previews are pure — registration never
-    // perturbs the run.
-    {
-        ScheduleTargets stargets;
-        stargets.numSsds = server_.ssds.size();
-        stargets.numGroups = groups_.size();
-        if (server_.cfg.faults.enabled)
-            server_.core().addScheduleSource(
-                std::make_unique<FaultScheduleSource>(server_.cfg.faults),
-                stargets);
-        if (server_.cfg.elasticity.enabled)
-            server_.core().addScheduleSource(
-                std::make_unique<ElasticScheduleSource>(
-                    server_.cfg.elasticity),
-                stargets);
-        if (server_.cfg.ingest.enabled)
-            server_.core().addScheduleSource(
-                std::make_unique<IngestScheduleSource>(server_.cfg.ingest),
-                stargets);
     }
 
     if (server_.cfg.faults.enabled) {
@@ -1337,9 +1297,6 @@ TrainingSession::start(std::size_t warmup, std::size_t measure)
         });
     }
 
-    // Every group's first window launches at one timestamp; outside an
-    // event that takes a batch to cost one solve.
-    FluidNetwork::FlowBatch launchBatch(net_);
     for (std::size_t g = 0; g < groups_.size(); ++g)
         launchPrep(g);
 }
@@ -1526,26 +1483,18 @@ TrainingSession::kill()
     if (done_)
         return;
     panic_if(!started_, "kill() before start()");
-    // The pending sync is the one scheduled callback without a done_
-    // guard (it cannot fire after completion in a normal run); cancel
-    // it so a dead session never advances its step count. Every other
-    // stray callback lands in a guarded no-op once done_ is set.
-    eq_.cancel(syncEv_);
-    // Everything volatile dies with the host, as in a fatal crash —
-    // but terminally: cancel every prep chain's flow and every
-    // per-group compute/membership event so the dead job stops loading
-    // the shared solver. Buffered prepared samples are lost, not cached.
+    // Everything volatile dies with the host, as in a fatal crash, but
+    // terminally: buffered prepared samples are lost, not cached.
     discardWork();
-    for (GroupState &gs : groups_) {
-        eq_.cancel(gs.detachEv);
-        eq_.cancel(gs.joinEv);
-    }
     windowEnd_ = eq_.now();
     done_ = true;
     // Termination is the caller's decision, not a completion: the
     // fleet already knows, so the completion hook must never fire.
     doneCb_ = nullptr;
     finalizeResult(/*partial=*/true);
+    // The dead job stops loading the shared core: every event and flow
+    // it still had goes.
+    server_.core().release(owner_);
     if (trace_)
         trace_->instant("session", "killed", windowEnd_, "fault");
 }

@@ -278,11 +278,21 @@ struct SessionResult
  * driver instead calls start() on many sessions sharing one core,
  * steps the core itself, and collect()s each session as it completes —
  * an N=1 fleet is bit-identical to run() (docs/FLEET.md).
+ *
+ * The session is one owner on the core: every event and flow it causes
+ * belongs to it, and it releases them all when it finishes, is killed
+ * or is destroyed. Nothing of it runs on the core after that, so it can
+ * be destroyed (before its Server) at any time outside its own
+ * callbacks.
  */
 class TrainingSession
 {
   public:
     explicit TrainingSession(Server &server);
+    ~TrainingSession();
+
+    TrainingSession(const TrainingSession &) = delete;
+    TrainingSession &operator=(const TrainingSession &) = delete;
 
     /**
      * Run @p warmup + @p measure global steps and report steady-state
@@ -293,10 +303,10 @@ class TrainingSession
 
     /**
      * Arm the session on its server's core without stepping the event
-     * loop: registers instruments and schedule sources, arms the
-     * fault/elastic/ingest injectors, and launches the initial prep
-     * chains at the core's current time. The caller (run(), or a fleet
-     * driver multiplexing several sessions) then steps the core.
+     * loop: registers instruments, arms the fault/elastic/ingest
+     * injectors, and launches the initial prep chains at the core's
+     * current time, all as the session's owner. The caller (run(), or a
+     * fleet driver multiplexing several sessions) then steps the core.
      */
     void start(std::size_t warmup = 4, std::size_t measure = 8);
 
@@ -305,8 +315,9 @@ class TrainingSession
 
     /**
      * Invoked exactly once, at the instant the session finishes (after
-     * its result is finalized) — the hook a fleet scheduler uses to
-     * free capacity and start queued jobs on the shared timeline.
+     * its result is finalized and its owner released), as owner 0 —
+     * the hook a fleet scheduler uses to free capacity and start
+     * queued jobs on the shared timeline.
      */
     void onDone(std::function<void()> cb) { doneCb_ = std::move(cb); }
 
@@ -319,16 +330,16 @@ class TrainingSession
 
     /**
      * Terminate the session *now* — the fleet layer's host-failure
-     * path (docs/ROBUSTNESS.md). Cancels the pending sync and every
-     * per-group compute/membership event, cancels every prep chain's
-     * flow, discards buffered prepared samples (counted in the
-     * conservation ledger), and freezes a *partial* result over
-     * whatever measurement window had elapsed: stepsMeasured is the
-     * synchronized in-window step count, throughput/stepTime are 0
-     * when nothing measured, and every ledger invariant still holds.
-     * After kill() the session reports done() but the registered
-     * onDone callback never fires — termination is the caller's
-     * decision, not a completion. No-op on an already-done session.
+     * path (docs/ROBUSTNESS.md). Discards buffered prepared samples
+     * (counted in the conservation ledger), freezes a *partial* result
+     * over whatever measurement window had elapsed, and releases the
+     * session's owner: every event and flow it had on the core is
+     * cancelled. stepsMeasured is the synchronized in-window step
+     * count, throughput/stepTime are 0 when nothing measured, and
+     * every ledger invariant still holds. After kill() the session
+     * reports done() but the registered onDone callback never fires —
+     * termination is the caller's decision, not a completion. No-op on
+     * an already-done session.
      */
     void kill();
 
@@ -414,8 +425,12 @@ class TrainingSession
 
         FlowId flow = 0;              ///< current stage's flow (0 = none)
         std::size_t readAttempts = 0; ///< failed reads of current chunk
-        std::uint64_t epoch = 0;      ///< bumped on re-dispatch; stales
-                                      ///< pending retry events
+        /**
+         * Bumped on restart. A chain waiting out a backoff can be
+         * restarted (a crash re-dispatches it) before its resume event
+         * fires; the epoch makes that resume a no-op.
+         */
+        std::uint64_t epoch = 0;
 
         /**
          * Silent flips riding the chunk that a downstream verify stage
@@ -428,6 +443,8 @@ class TrainingSession
         std::size_t recoveries = 0;
     };
 
+    /** start()'s work, run as the session's owner. */
+    void arm();
     void launchPrep(std::size_t g);
     void onChainDone(std::size_t g, double samples, Time chain_start);
     bool measuring() const;
@@ -500,6 +517,7 @@ class TrainingSession
     Server &server_;
     EventQueue &eq_;    ///< the core's event queue (shared clock)
     FluidNetwork &net_; ///< the core's contention engine
+    const OwnerId owner_; ///< owns every event and flow of the session
     std::vector<GroupState> groups_;
     TraceWriter *trace_ = nullptr;
 
@@ -549,7 +567,6 @@ class TrainingSession
     bool ingestStalled_ = false;       ///< stall policy holds compute
     Time ingestStallStart_ = 0.0;
     Time ingestOverloadStart_ = 0.0;
-    std::uint64_t ingestWriteEpoch_ = 0; ///< stales pending retries
 
     // sample ledger (always tracked; conservation panic-checked)
     double samplesPrepared_ = 0.0;

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "fluid/fluid.hh"
 
 namespace tb {
@@ -425,6 +427,57 @@ TEST_F(FluidTest, ChainedFlowsViaCompletions)
     stage(0);
     eq.run();
     EXPECT_DOUBLE_EQ(final_done, 3.0);
+}
+
+TEST_F(FluidTest, ReleaseCancelsOnlyTheOwnersFlows)
+{
+    // Two owners share a link; a's two flows go, b's flow speeds up to
+    // the full link, and a's callbacks never run.
+    FluidResource *link = net.addResource("link", 100.0);
+    const OwnerId a = eq.newOwner();
+    const OwnerId b = eq.newOwner();
+    std::vector<OwnerId> ranAs;
+    auto start = [&](double size) {
+        FlowSpec spec;
+        spec.category = "x";
+        spec.size = size;
+        spec.demands = {{link, 1.0}};
+        spec.onComplete = [&](Time) { ranAs.push_back(eq.owner()); };
+        return net.startFlow(std::move(spec));
+    };
+    eq.runAs(a, [&] {
+        start(100.0);
+        start(300.0);
+    });
+    FlowId survivor = 0;
+    eq.runAs(b, [&] { survivor = start(300.0); });
+    eq.run(0.5);
+    ASSERT_EQ(net.numActive(), 3u);
+
+    net.release(a);
+    eq.release(a);
+    EXPECT_EQ(net.numActive(), 1u);
+    EXPECT_DOUBLE_EQ(net.flowRate(survivor), 100.0);
+    eq.run();
+    // b's flow ran at 100/3 for 0.5 s, then alone at 100.
+    ASSERT_EQ(ranAs.size(), 1u);
+    EXPECT_EQ(ranAs[0], b);
+    EXPECT_DOUBLE_EQ(eq.now(), 0.5 + (300.0 - 100.0 / 6.0) / 100.0);
+}
+
+TEST(FluidDeath, StartByReleasedOwnerPanics)
+{
+    EventQueue eq;
+    FluidNetwork net(eq);
+    FluidResource *link = net.addResource("l", 1.0);
+    const OwnerId a = eq.newOwner();
+    eq.release(a);
+    FlowSpec spec;
+    spec.category = "late";
+    spec.size = 1.0;
+    spec.demands = {{link, 1.0}};
+    EXPECT_DEATH(eq.runAs(a, [&] { net.startFlow(std::move(spec)); }),
+                 "after its release");
 }
 
 TEST(FluidDeath, UnconstrainedFlowPanics)

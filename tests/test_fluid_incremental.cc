@@ -9,7 +9,7 @@
  * component on every event (FullResolve). These tests replay randomized
  * scripts — random topologies x random flow arrival/departure schedules
  * — under both modes and compare the full observable trace. The same
- * harness pins metrics-on/off and FlowBatch-vs-unbatched bit-identity.
+ * harness pins metrics-on/off and runAs-vs-plain bit-identity.
  * Two more checks cover the lazy flow state: accounting read mid-flight
  * equals an eager integration, and the work counted per event does not
  * grow with the rest of the network. The last pins the commit rule:
@@ -122,7 +122,7 @@ struct RunConfig
 {
     Mode mode = Mode::FullResolve;
     bool metrics = false;
-    bool batchStarts = false; ///< wrap each start op in a FlowBatch
+    bool runAsStarts = false; ///< wrap each start op in runAs()
     /// Leave every solve to the event's end: read rates only between
     /// events, where a read must not solve, and let completions start a
     /// successor (start index % 3 != 1) or cancel a scripted flow
@@ -196,9 +196,8 @@ replay(const Script &s, const RunConfig &cfg)
     for (std::size_t i = 0; i < n; ++i) {
         eq.schedule(s.starts[i].at, [&, i] {
             FlowSpec spec = specFor(i, s.starts[i].size, i);
-            if (cfg.batchStarts) {
-                FluidNetwork::FlowBatch batch(net);
-                ids[i] = net.startFlow(std::move(spec));
+            if (cfg.runAsStarts) {
+                eq.runAs(0, [&] { ids[i] = net.startFlow(std::move(spec)); });
             } else {
                 ids[i] = net.startFlow(std::move(spec));
             }
@@ -295,24 +294,24 @@ TEST(FluidIncremental, MetricsOnOffBitIdentity)
     }
 }
 
-TEST(FluidIncremental, FlowBatchBitIdentity)
+TEST(FluidIncremental, RunAsInEventBitIdentity)
 {
-    // A batch inside an event defers to the event's end like an
-    // unbatched start, so the observable behavior is identical.
+    // runAs() inside an event only switches the owner; its starts defer
+    // to the event's end like plain ones, so nothing observable moves.
     for (std::uint64_t seed = 1; seed <= 4; ++seed) {
         SCOPED_TRACE("seed " + std::to_string(seed));
         const Script s = makeScript(seed * 0xba7c);
         const RunTrace plain = replay(s, {.mode = Mode::Incremental});
-        const RunTrace batched =
-            replay(s, {.mode = Mode::Incremental, .batchStarts = true});
-        expectTracesEqual(plain, batched, "batched vs unbatched");
+        const RunTrace wrapped =
+            replay(s, {.mode = Mode::Incremental, .runAsStarts = true});
+        expectTracesEqual(plain, wrapped, "runAs vs plain");
     }
 }
 
 TEST(FluidIncremental, BatchedGroupLaunchMatchesSequential)
 {
-    // k flows launched at one timestamp inside one FlowBatch must get
-    // exactly the rates of k sequential startFlow calls.
+    // k flows launched at one timestamp inside one runAs() outside an
+    // event must get exactly the rates of k sequential startFlow calls.
     auto run = [](bool batch) {
         EventQueue eq;
         FluidNetwork net(eq);
@@ -332,8 +331,7 @@ TEST(FluidIncremental, BatchedGroupLaunchMatchesSequential)
             }
         };
         if (batch) {
-            FluidNetwork::FlowBatch fb(net);
-            launchAll();
+            eq.runAs(0, launchAll);
         } else {
             launchAll();
         }
@@ -573,8 +571,7 @@ runChurn(std::size_t background, Mode mode)
     net.setSolverMode(mode);
     FluidResource *a = net.addResource("a", 100.0);
     FluidResource *b = net.addResource("b", 60.0);
-    {
-        FluidNetwork::FlowBatch batch(net);
+    eq.runAs(0, [&] {
         for (std::size_t i = 0; i < background; ++i) {
             FluidResource *r = net.addResource(
                 "bg" + std::to_string(i), 50.0 + static_cast<double>(i % 7));
@@ -587,7 +584,7 @@ runChurn(std::size_t background, Mode mode)
                 net.startFlow(std::move(spec));
             }
         }
-    }
+    });
     eq.run(0.5);
     const FluidNetwork::SolverStats before = net.solverStats();
 

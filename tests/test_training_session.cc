@@ -310,33 +310,134 @@ TEST(SessionSolves, AtMostOneSolvePerEvent)
     }
 }
 
-// kill() cancels every in-flight prep chain, also in a session with
-// faults and elasticity off: the dead job leaves no flow on the shared
-// core, and no callback of it runs afterwards.
-TEST(SessionKill, CancelsFaultFreeChains)
+/** A 32-accelerator TrainBox job, as the fleet benches run one. */
+ServerConfig
+trainBox32()
 {
-    SimulationCore core;
     ServerConfig cfg;
     cfg.preset = ArchPreset::TrainBox;
     cfg.model = workload::ModelId::Resnet50;
     cfg.numAccelerators = 32;
-    auto server = buildServer(cfg, &core, "job0.");
-    TraceWriter trace;
-    TrainingSession session(*server);
-    session.setTrace(&trace);
-    session.start(4, 8);
-    while (session.stepsSynced() < 2 && core.events().step()) {
-    }
-    ASSERT_EQ(session.stepsSynced(), 2u);
-    ASSERT_GT(core.fluid().numActive(), 0u);
+    return cfg;
+}
 
-    session.kill();
-    EXPECT_EQ(core.fluid().numActive(), 0u);
-    // Each session callback traces a span (prep stage, compute, sync).
-    const std::size_t traced = trace.numEvents();
-    while (core.events().step()) {
+/** fleet_sweep's streaming-ingest feed; its arrivals never end. */
+void
+addIngest(ServerConfig &cfg)
+{
+    cfg.ingest.enabled = true;
+    cfg.ingest.seed = 47;
+    cfg.ingest.steady = {12000.0, 256.0, 2};
+    cfg.ingest.bufferCapacity = 8192.0;
+    cfg.ingest.highWatermark = 6144.0;
+    cfg.ingest.lowWatermark = 2048.0;
+    cfg.ingest.policyChain = {IngestPolicy::Shed, IngestPolicy::Echo};
+}
+
+// kill() releases everything the session had on the shared core, also
+// in a session with faults and elasticity off: the dead job leaves no
+// event and no flow behind, and no callback of it runs afterwards. An
+// ingest job also has an arrival chain, which re-arms itself forever,
+// and at times a shard write in flight.
+TEST(SessionKill, CancelsFaultFreeChains)
+{
+    ServerConfig ingest = trainBox32();
+    addIngest(ingest);
+    for (const ServerConfig &cfg : {trainBox32(), ingest}) {
+        SCOPED_TRACE(cfg.ingest.enabled ? "ingest" : "fault-free");
+        SimulationCore core;
+        auto server = buildServer(cfg, &core, "job0.");
+        TraceWriter trace;
+        TrainingSession session(*server);
+        session.setTrace(&trace);
+        session.start(4, 8);
+        while (session.stepsSynced() < 2 && core.events().step()) {
+        }
+        ASSERT_EQ(session.stepsSynced(), 2u);
+        ASSERT_GT(core.fluid().numActive(), 0u);
+
+        session.kill();
+        EXPECT_EQ(core.fluid().numActive(), 0u);
+        ASSERT_TRUE(core.events().empty());
+        // Each session callback traces a span (prep stage, compute,
+        // sync, ingest write).
+        const std::size_t traced = trace.numEvents();
+        while (core.events().step()) {
+        }
+        EXPECT_EQ(trace.numEvents(), traced);
     }
-    EXPECT_EQ(trace.numEvents(), traced);
+}
+
+// A session that finishes releases what it still had in flight: prep
+// chains, the fault, elastic and ingest arrival chains, shard writes
+// and checkpoint drains.
+TEST(SessionRelease, FinishedSessionLeavesNothingBehind)
+{
+    ServerConfig cfg = trainBox32();
+    cfg.faults.enabled = true;
+    cfg.faults.ssdReadFailureProb = 0.01;
+    cfg.faults.prepCrash.ratePerSec = 0.2;
+    cfg.faults.prepCrash.duration = 0.5;
+    cfg.elasticity.enabled = true;
+    cfg.elasticity.groupDrain.ratePerSec = 0.1;
+    cfg.elasticity.groupDrain.absence = 1.0;
+    cfg.elasticity.prepPreempt.ratePerSec = 0.1;
+    cfg.elasticity.prepPreempt.absence = 1.0;
+    addIngest(cfg);
+    cfg.checkpoint.enabled = true;
+    cfg.checkpoint.mode = CheckpointMode::Async;
+    cfg.checkpoint.interval = 2.0;
+    auto server = buildServer(cfg);
+    TrainingSession session(*server);
+    const SessionResult res = session.run(4, 8);
+    EXPECT_GT(res.faults.faultsInjected, 0u);
+    EXPECT_GT(res.elasticity.events, 0u);
+    EXPECT_GT(res.ingest.arrivalEvents, 0u);
+    EXPECT_GT(res.checkpoint.committed, 0u);
+    EXPECT_TRUE(server->core().events().empty());
+    EXPECT_EQ(server->core().fluid().numActive(), 0u);
+}
+
+// Two jobs on one core: the victim is killed, or destroyed with its
+// server, right after one of its own events, mid-run. The survivor
+// must finish with the throughput of its run alone, to the bit. The
+// fluid completion event serves both jobs; were it the victim's, the
+// release would take it and the survivor would stall.
+TEST(SessionKill, SurvivorMatchesItsRunAlone)
+{
+    const ServerConfig cfg = trainBox32();
+    ServerConfig victimCfg = trainBox32();
+    victimCfg.model = workload::ModelId::TfSr;
+    addIngest(victimCfg);
+
+    auto alone = buildServer(cfg);
+    const double thrAlone = TrainingSession(*alone).run(4, 8).throughput;
+
+    for (bool destroy : {false, true}) {
+        SCOPED_TRACE(destroy ? "destroyed" : "killed");
+        SimulationCore core;
+        auto server = buildServer(cfg, &core, "a.");
+        auto victimServer = buildServer(victimCfg, &core, "b.");
+        TrainingSession survivor(*server);
+        auto victim = std::make_unique<TrainingSession>(*victimServer);
+        survivor.start(4, 8);
+        victim->start(4, 8);
+        while (victim->stepsSynced() < 2 && core.events().step()) {
+        }
+        ASSERT_EQ(victim->stepsSynced(), 2u);
+        ASSERT_FALSE(survivor.done());
+        if (!destroy)
+            victim->kill();
+        victim.reset();
+        victimServer.reset();
+
+        while (!survivor.done() && core.events().step()) {
+        }
+        ASSERT_TRUE(survivor.done());
+        EXPECT_EQ(survivor.collect().throughput, thrAlone);
+        EXPECT_TRUE(core.events().empty());
+        EXPECT_EQ(core.fluid().numActive(), 0u);
+    }
 }
 
 } // namespace

@@ -46,8 +46,8 @@ ctest --test-dir "$build_dir" --output-on-failure -j "$(nproc)" "$@"
 "$build_dir/bench/integrity_sweep" --smoke
 
 # Simulator perf smoke: runs the incremental solver (lazy flow state,
-# completion heap, one solve per event) + event-queue batching under the
-# sanitizer, so the bit-identity assert and the solver hot path get
+# completion heap, one solve per event) + the lazy-cancel event queue
+# under the sanitizer, so the bit-identity assert and the solver hot path get
 # instrumented coverage. The work counters are deterministic, so the
 # committed-baseline gate applies unchanged (docs/PERFORMANCE.md).
 "$build_dir/bench/sim_perf" --smoke \
