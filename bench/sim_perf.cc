@@ -12,6 +12,13 @@
  *    (the solver is an optimization, not a model change); the bench
  *    asserts this.
  *
+ *  - stream_at_256: the same TrainBox Resnet-50 session under the
+ *    streaming disturbances of perfbench's server_stream workload:
+ *    tb_report's canned elastic and ingest schedules, async
+ *    checkpoints, and seeded read failures, stragglers and corruption
+ *    with integrity checks. Almost every event is an injector arrival,
+ *    so its rows pin the arrival streams' event counts and tie order.
+ *
  *  - fleet_10k: a synthetic fleet of disjoint *heterogeneous* jobs
  *    (~10k concurrent flows over 2500 jobs) with continuous churn —
  *    every completion launches a replacement flow. The sharing graph
@@ -115,10 +122,79 @@ modeName(FluidNetwork::SolverMode mode)
     return "?";
 }
 
-// --- fig19_at_256 --------------------------------------------------------
+// --- fig19_at_256 / stream_at_256 ---------------------------------------
+
+/** The paper's TrainBox preset, Resnet-50, at @p accs accelerators. */
+ServerConfig
+trainBoxConfig(std::size_t accs)
+{
+    ServerConfig cfg;
+    cfg.preset = ArchPreset::TrainBox;
+    cfg.model = workload::ModelId::Resnet50;
+    cfg.numAccelerators = accs;
+    return cfg;
+}
+
+/**
+ * trainBoxConfig() under perfbench's server_stream disturbances:
+ * tb_report's canned `--elastic` and `--ingest` schedules, async
+ * checkpoints, and seeded read failures, stragglers and corruption
+ * with integrity checks, all at the library's default seeds.
+ */
+ServerConfig
+streamConfig(std::size_t accs)
+{
+    ServerConfig cfg = trainBoxConfig(accs);
+
+    ElasticityConfig e;
+    e.enabled = true;
+    e.groupDrain.ratePerSec = 0.02;
+    e.groupDrain.absence = 8.0;
+    e.groupPreempt.ratePerSec = 0.01;
+    e.groupPreempt.absence = 12.0;
+    e.prepDrain.ratePerSec = 0.02;
+    e.prepDrain.absence = 6.0;
+    e.prepPreempt.ratePerSec = 0.01;
+    e.prepPreempt.absence = 10.0;
+    e.sloTargetSamplesPerSec = 0.9 * workload::targetThroughput(
+        workload::model(cfg.model), cfg.numAccelerators, cfg.sync);
+    cfg.withElasticity(e);
+
+    IngestConfig in;
+    in.enabled = true;
+    const double boxes = static_cast<double>(
+        (cfg.numAccelerators + cfg.box.accPerBox - 1) / cfg.box.accPerBox);
+    in.steady = {15000.0 * boxes, 256.0, 2};
+    in.diurnal = {8000.0 * boxes, 128.0, 1};
+    in.burst = {10000.0 * boxes, 512.0, 0};
+    in.diurnalAmplitude = 0.8;
+    in.bufferCapacity = 16384.0;
+    in.highWatermark = 12288.0;
+    in.lowWatermark = 4096.0;
+    in.stalenessSlo = 0.1;
+    cfg.withIngest(in);
+
+    CheckpointConfig ck;
+    ck.enabled = true;
+    ck.mode = CheckpointMode::Async;
+    ck.interval = 0.5;
+    cfg.withCheckpoint(ck);
+
+    FaultConfig f;
+    f.enabled = true;
+    f.ssdReadFailureProb = 1e-3;
+    f.stragglerProb = 1e-2;
+    f.corruption.ssdBitFlipProb = 1e-4;
+    f.corruption.pcieErrorProb = 5e-5;
+    f.corruption.fpgaUpsetProb = 1e-4;
+    f.corruption.hostDramFlipProb = 5e-5;
+    f.integrityChecks = true;
+    cfg.withFaults(f);
+    return cfg;
+}
 
 CaseResult
-runSession(const char *caseName, std::size_t accs,
+runSession(const char *caseName, const ServerConfig &cfg,
            FluidNetwork::SolverMode mode, std::size_t warmup,
            std::size_t measure, std::size_t reps)
 {
@@ -126,11 +202,6 @@ runSession(const char *caseName, std::size_t accs,
     r.name = caseName;
     r.mode = modeName(mode);
     for (std::size_t rep = 0; rep < reps; ++rep) {
-        ServerConfig cfg;
-        cfg.preset = ArchPreset::TrainBox;
-        cfg.model = workload::ModelId::Resnet50;
-        cfg.numAccelerators = accs;
-
         auto server = buildServer(cfg);
         server->core().fluid().setSolverMode(mode);
 
@@ -513,11 +584,28 @@ main(int argc, char **argv)
     const char *sessName = smoke ? "fig19_at_64" : "fig19_at_256";
     std::vector<CaseResult> sessions;
     for (Mode mode : modes)
-        sessions.push_back(
-            runSession(sessName, accs, mode, warmup, measure, reps));
+        sessions.push_back(runSession(sessName, trainBoxConfig(accs), mode,
+                                      warmup, measure, reps));
     if (!modesAgree(sessions))
         return 1;
     results.insert(results.end(), sessions.begin(), sessions.end());
+
+    // stream_at_256: the same session under server_stream's
+    // disturbances, one run per mode.
+    const char *streamName = smoke ? "stream_at_64" : "stream_at_256";
+    const ServerConfig stream = streamConfig(accs);
+    if (const std::string problem = stream.validate(); !problem.empty()) {
+        std::fprintf(stderr, "sim_perf: invalid stream config: %s\n",
+                     problem.c_str());
+        return 1;
+    }
+    std::vector<CaseResult> streams;
+    for (Mode mode : modes)
+        streams.push_back(
+            runSession(streamName, stream, mode, warmup, measure, 1));
+    if (!modesAgree(streams))
+        return 1;
+    results.insert(results.end(), streams.begin(), streams.end());
 
     // fleet_10k: disjoint heterogeneous-job churn, the same event
     // budget for both modes.
