@@ -1,22 +1,10 @@
 #include "sim/elastic_schedule.hh"
 
-#include <algorithm>
-#include <cmath>
-
 #include "common/logging.hh"
 
 namespace tb {
 
 namespace {
-
-/** splitmix64 finalizer — derives unrelated streams from one seed. */
-std::uint64_t
-mix64(std::uint64_t z)
-{
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
-}
 
 /** Per-class stream tags (keep stable: they define the timelines). */
 constexpr std::uint64_t kElasticStream = 0x454c415354ull;
@@ -26,6 +14,57 @@ classStreamTag(ElasticTargetKind target, bool planned)
 {
     return kElasticStream + 2 * static_cast<std::uint64_t>(target) +
            (planned ? 0 : 1);
+}
+
+/** The last cfg.deferredJoinGroups groups, last first. */
+std::vector<std::size_t>
+deferredGroupsOf(const ElasticityConfig &cfg, std::size_t numGroups)
+{
+    panic_if(cfg.deferredJoinGroups >= numGroups &&
+                 cfg.deferredJoinGroups > 0,
+             "elasticity.deferredJoinGroups (%zu) must leave at least "
+             "one of the %zu groups active",
+             cfg.deferredJoinGroups, numGroups);
+    std::vector<std::size_t> groups;
+    for (std::size_t i = 0; i < cfg.deferredJoinGroups; ++i)
+        groups.push_back(numGroups - 1 - i);
+    return groups;
+}
+
+std::vector<ElasticLeaves::Class>
+makeClasses(const ElasticityConfig &cfg, const ElasticTargets &targets)
+{
+    std::vector<ElasticLeaves::Class> classes;
+    auto add = [&](ElasticTargetKind target, bool planned,
+                   const ElasticClassConfig &cc) {
+        if (cc.ratePerSec <= 0.0 || targets.numGroups == 0)
+            return;
+        classes.push_back(
+            {{streamRng(cfg.seed, classStreamTag(target, planned)),
+              cc.ratePerSec},
+             target,
+             planned,
+             targets.numGroups,
+             planned ? cfg.graceWindow : 0.0,
+             cc.absence});
+    };
+    add(ElasticTargetKind::Group, /*planned=*/true, cfg.groupDrain);
+    add(ElasticTargetKind::Group, /*planned=*/false, cfg.groupPreempt);
+    add(ElasticTargetKind::Prep, /*planned=*/true, cfg.prepDrain);
+    add(ElasticTargetKind::Prep, /*planned=*/false, cfg.prepPreempt);
+    return classes;
+}
+
+/** The explicit schedule plus one scale-up join per deferred group. */
+std::vector<ElasticEvent>
+fixedEvents(const ElasticityConfig &cfg, std::size_t numGroups)
+{
+    std::vector<ElasticEvent> events = cfg.schedule;
+    // Their initial detachment is session state, not an event.
+    for (std::size_t g : deferredGroupsOf(cfg, numGroups))
+        events.push_back({ElasticTargetKind::Group, ElasticAction::Join, g,
+                          cfg.scaleUpTime});
+    return events;
 }
 
 } // namespace
@@ -58,149 +97,32 @@ elasticActionName(ElasticAction action)
 
 ElasticScheduler::ElasticScheduler(const ElasticityConfig &cfg,
                                    const ElasticTargets &targets)
-    : cfg_(cfg), targets_(targets), classes_(makeClasses(cfg, targets))
+    : ArrivalStream(makeClasses(cfg, targets),
+                    fixedEvents(cfg, targets.numGroups)),
+      deferred_(deferredGroupsOf(cfg, targets.numGroups))
 {
-    panic_if(cfg_.graceWindow < 0.0,
+    panic_if(cfg.graceWindow < 0.0,
              "elasticity.graceWindow must be >= 0, got %g",
-             cfg_.graceWindow);
-    panic_if(cfg_.rejoinLatency < 0.0,
+             cfg.graceWindow);
+    panic_if(cfg.rejoinLatency < 0.0,
              "elasticity.rejoinLatency must be >= 0, got %g",
-             cfg_.rejoinLatency);
-    panic_if(cfg_.deferredJoinGroups >= targets.numGroups &&
-                 cfg_.deferredJoinGroups > 0,
-             "elasticity.deferredJoinGroups (%zu) must leave at least "
-             "one of the %zu groups active",
-             cfg_.deferredJoinGroups, targets.numGroups);
+             cfg.rejoinLatency);
 }
 
-std::vector<ElasticScheduler::ClassState>
-ElasticScheduler::makeClasses(const ElasticityConfig &cfg,
-                              const ElasticTargets &targets)
+ElasticEvent
+ElasticLeaves::draw(Class &c, Time start)
 {
-    std::vector<ClassState> classes;
-    auto add = [&](ElasticTargetKind target, bool planned,
-                   const ElasticClassConfig &cc) {
-        if (cc.ratePerSec <= 0.0 || targets.numGroups == 0)
-            return;
-        ClassState cs{target,
-                      planned,
-                      cc,
-                      targets.numGroups,
-                      planned ? cfg.graceWindow : 0.0,
-                      Rng(mix64(cfg.seed ^ classStreamTag(target, planned))),
-                      0.0};
-        classes.push_back(std::move(cs));
-    };
-    add(ElasticTargetKind::Group, /*planned=*/true, cfg.groupDrain);
-    add(ElasticTargetKind::Group, /*planned=*/false, cfg.groupPreempt);
-    add(ElasticTargetKind::Prep, /*planned=*/true, cfg.prepDrain);
-    add(ElasticTargetKind::Prep, /*planned=*/false, cfg.prepPreempt);
-    return classes;
-}
-
-std::pair<ElasticEvent, ElasticEvent>
-ElasticScheduler::nextPair(ClassState &cs)
-{
-    // Exponential inter-arrival measured from the previous join, so one
-    // class never re-targets a member it has not yet returned.
-    const double u = cs.rng.uniform();
-    const Time gap = -std::log(1.0 - u) / cs.cfg.ratePerSec;
+    // The gap runs from the previous join, so one class never
+    // re-targets a member it has not yet returned.
     ElasticEvent leave;
-    leave.target = cs.target;
+    leave.target = c.target;
     leave.action =
-        cs.planned ? ElasticAction::Drain : ElasticAction::Preempt;
-    leave.index = static_cast<std::size_t>(cs.rng.uniformInt(
-        0, static_cast<std::int64_t>(cs.numTargets) - 1));
-    leave.at = cs.prevEnd + gap;
-
-    ElasticEvent join = leave;
-    join.action = ElasticAction::Join;
-    join.at = leave.at + cs.grace + cs.cfg.absence;
-    cs.prevEnd = join.at;
-    return {leave, join};
-}
-
-std::vector<ElasticEvent>
-ElasticScheduler::fixedEvents(const ElasticityConfig &cfg,
-                              const ElasticTargets &targets)
-{
-    std::vector<ElasticEvent> events = cfg.schedule;
-    // Scale-up: the deferred groups (end of the group list) join at
-    // scaleUpTime. Their initial detachment is session state, not an
-    // event.
-    for (std::size_t i = 0; i < cfg.deferredJoinGroups &&
-                            i < targets.numGroups;
-         ++i) {
-        ElasticEvent ev;
-        ev.target = ElasticTargetKind::Group;
-        ev.action = ElasticAction::Join;
-        ev.index = targets.numGroups - 1 - i;
-        ev.at = cfg.scaleUpTime;
-        events.push_back(ev);
-    }
-    return events;
-}
-
-void
-ElasticScheduler::deliver(const ElasticEvent &ev)
-{
-    ++delivered_;
-    if (handler_)
-        handler_(ev);
-}
-
-void
-ElasticScheduler::scheduleClass(EventQueue &eq, std::size_t idx)
-{
-    ClassState &cs = classes_[idx];
-    const auto [leave, join] = nextPair(cs);
-    eq.schedule(origin_ + leave.at, [this, &eq, idx, leave, join] {
-        deliver(leave);
-        eq.schedule(origin_ + join.at, [this, join] { deliver(join); });
-        // Chain the class's next pair (drawn lazily so the timeline
-        // extends as far as the simulation runs).
-        scheduleClass(eq, idx);
-    });
-}
-
-void
-ElasticScheduler::arm(EventQueue &eq, Handler handler)
-{
-    handler_ = std::move(handler);
-    // Anchor the job-relative schedule at the current clock (0 for the
-    // historical standalone run, so x + 0.0 leaves every time exact).
-    origin_ = eq.now();
-    for (const ElasticEvent &ev : fixedEvents(cfg_, targets_))
-        eq.schedule(origin_ + ev.at, [this, ev] { deliver(ev); });
-    for (std::size_t i = 0; i < classes_.size(); ++i)
-        scheduleClass(eq, i);
-}
-
-std::vector<ElasticEvent>
-ElasticScheduler::schedule(const ElasticityConfig &cfg,
-                           const ElasticTargets &targets, Time horizon)
-{
-    std::vector<ElasticEvent> events;
-    for (const ElasticEvent &ev : fixedEvents(cfg, targets))
-        if (ev.at < horizon)
-            events.push_back(ev);
-    for (ClassState &cs : makeClasses(cfg, targets)) {
-        while (true) {
-            const auto [leave, join] = nextPair(cs);
-            if (leave.at >= horizon)
-                break;
-            events.push_back(leave);
-            if (join.at < horizon)
-                events.push_back(join);
-        }
-    }
-    // Merge into global time order (stable for identical timestamps:
-    // fixed events first, then class declaration order).
-    std::stable_sort(events.begin(), events.end(),
-                     [](const ElasticEvent &a, const ElasticEvent &b) {
-                         return a.at < b.at;
-                     });
-    return events;
+        c.planned ? ElasticAction::Drain : ElasticAction::Preempt;
+    leave.index = static_cast<std::size_t>(c.rng.uniformInt(
+        0, static_cast<std::int64_t>(c.numTargets) - 1));
+    leave.at = start;
+    c.prevEnd = c.joinAt(leave.at);
+    return leave;
 }
 
 } // namespace tb

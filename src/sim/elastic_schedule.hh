@@ -9,7 +9,8 @@
  * *reproducible* stream of membership events, exactly like
  * sim/fault_injector.hh turns a FaultConfig into a fault schedule:
  * every decision is drawn from seed-derived tb::Rng streams, so two
- * runs with the same config see the same membership timeline.
+ * runs with the same config see the same membership timeline. Both
+ * play through the shared arrival stream (sim/arrivals.hh).
  *
  * Two leave flavors are modeled per target kind:
  *
@@ -35,11 +36,9 @@
 #define TRAINBOX_SIM_ELASTIC_SCHEDULE_HH
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
-#include "common/random.hh"
-#include "sim/event_queue.hh"
+#include "sim/arrivals.hh"
 
 namespace tb {
 
@@ -136,16 +135,6 @@ struct ElasticityConfig
      * match to a detached member are ignored.
      */
     std::vector<ElasticEvent> schedule;
-
-    /** True when any event source is live. */
-    bool anyEvents() const
-    {
-        return groupDrain.ratePerSec > 0.0 ||
-               groupPreempt.ratePerSec > 0.0 ||
-               prepDrain.ratePerSec > 0.0 ||
-               prepPreempt.ratePerSec > 0.0 ||
-               deferredJoinGroups > 0 || !schedule.empty();
-    }
 };
 
 /** Target-space size the scheduler picks victims from. */
@@ -154,77 +143,58 @@ struct ElasticTargets
     std::size_t numGroups = 0;
 };
 
+/** Leave classes as an arrival Source (sim/arrivals.hh). */
+struct ElasticLeaves
+{
+    using Event = ElasticEvent;
+    struct Class : ArrivalClass
+    {
+        ElasticTargetKind target = ElasticTargetKind::Group;
+        bool planned = false; ///< Drain (with grace) vs Preempt
+        std::size_t numTargets = 0;
+        Time grace = 0.0;
+        Time absence = 0.0;
+
+        /** When the member that leaves at @p leave rejoins. */
+        Time joinAt(Time leave) const { return leave + grace + absence; }
+    };
+    /** Each leave's paired join, an event of its own. */
+    static constexpr FollowUps kFollowUps = FollowUps::Listed;
+    static Time at(const ElasticEvent &ev) { return ev.at; }
+    static ElasticEvent draw(Class &c, Time start);
+    static FollowUp<ElasticEvent>
+    followUp(const Class &c, const ElasticEvent &leave, Time origin)
+    {
+        ElasticEvent join = leave;
+        join.action = ElasticAction::Join;
+        join.at = c.joinAt(leave.at);
+        return {join, origin + join.at};
+    }
+};
+
 /**
- * Draws the membership timeline for one run. Construct one per
- * session; arm() plays the same events schedule() previews.
+ * The membership timeline of one run: explicit events and scale-up
+ * joins, then each class's leaves, each followed by its paired join.
+ * Leaves of one class never overlap; different classes may race on one
+ * target, and the session's state machine drops what no longer applies.
  */
-class ElasticScheduler
+class ElasticScheduler : public ArrivalStream<ElasticLeaves>
 {
   public:
     ElasticScheduler(const ElasticityConfig &cfg,
                      const ElasticTargets &targets);
 
-    const ElasticityConfig &config() const { return cfg_; }
-
-    using Handler = std::function<void(const ElasticEvent &)>;
-
     /**
-     * Play the membership schedule onto @p eq. Leaves of one class
-     * never overlap (the next leave is drawn from the previous join);
-     * different classes may race on one target — the session's state
-     * machine drops transitions that no longer apply. Event times are
-     * job-relative, anchored at the clock reading when arm() is called
-     * (0 for the historical standalone run).
+     * The groups that start detached and join at scaleUpTime: the last
+     * deferredJoinGroups of the group list, last first.
      */
-    void arm(EventQueue &eq, Handler handler);
-
-    /**
-     * Deterministically enumerate the events in [0, horizon) without
-     * an event queue — what arm() will play, in time order.
-     */
-    static std::vector<ElasticEvent>
-    schedule(const ElasticityConfig &cfg, const ElasticTargets &targets,
-             Time horizon);
-
-    /** Events delivered so far (after arm()). */
-    std::size_t eventsDelivered() const { return delivered_; }
+    const std::vector<std::size_t> &deferredGroups() const
+    {
+        return deferred_;
+    }
 
   private:
-    /** Lazy per-class leave/join pair generator state. */
-    struct ClassState
-    {
-        ElasticTargetKind target;
-        bool planned = false; ///< Drain (with grace) vs Preempt
-        ElasticClassConfig cfg;
-        std::size_t numTargets = 0;
-        Time grace = 0.0;
-        Rng rng;
-        Time prevEnd = 0.0;
-    };
-
-    static std::vector<ClassState>
-    makeClasses(const ElasticityConfig &cfg,
-                const ElasticTargets &targets);
-
-    /** Draw the class's next leave + paired join. */
-    static std::pair<ElasticEvent, ElasticEvent>
-    nextPair(ClassState &cs);
-
-    /** Scale-up joins + explicit schedule (non-random event sources). */
-    static std::vector<ElasticEvent>
-    fixedEvents(const ElasticityConfig &cfg,
-                const ElasticTargets &targets);
-
-    void scheduleClass(EventQueue &eq, std::size_t idx);
-    void deliver(const ElasticEvent &ev);
-
-    ElasticityConfig cfg_;
-    ElasticTargets targets_;
-    std::vector<ClassState> classes_;
-    Handler handler_;
-    std::size_t delivered_ = 0;
-    /** Clock at arm(): schedules are job-relative, the queue absolute. */
-    Time origin_ = 0.0;
+    std::vector<std::size_t> deferred_;
 };
 
 } // namespace tb

@@ -1,22 +1,12 @@
 #include "sim/fault_injector.hh"
 
-#include <algorithm>
-#include <cmath>
+#include <limits>
 
 #include "common/logging.hh"
 
 namespace tb {
 
 namespace {
-
-/** splitmix64 finalizer — derives unrelated streams from one seed. */
-std::uint64_t
-mix64(std::uint64_t z)
-{
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
-}
 
 /** Per-class stream tags (keep stable: they define the schedules). */
 constexpr std::uint64_t kReadFailStream = 0x5245414446ull;
@@ -33,6 +23,32 @@ std::uint64_t
 classStreamTag(FaultKind kind)
 {
     return 0x57494e444f57ull + static_cast<std::uint64_t>(kind);
+}
+
+std::vector<FaultWindows::Class>
+makeClasses(const FaultConfig &cfg, const FaultTargets &targets)
+{
+    std::vector<FaultWindows::Class> classes;
+    auto add = [&](FaultKind kind, const FaultClassConfig &cc,
+                   std::size_t n_targets) {
+        const bool point = kind == FaultKind::FatalCrash;
+        if (cc.ratePerSec > 0.0 && (cc.duration > 0.0 || point) &&
+            n_targets > 0)
+            classes.push_back(
+                {{streamRng(cfg.seed, classStreamTag(kind)), cc.ratePerSec},
+                 kind,
+                 cc,
+                 n_targets});
+    };
+    add(FaultKind::SsdDegrade, cfg.ssdDegrade, targets.numSsds);
+    add(FaultKind::PrepCrash, cfg.prepCrash, targets.numGroups);
+    add(FaultKind::EthDegrade, cfg.ethDegrade, 1);
+    add(FaultKind::RouteLoss, cfg.routeLoss, targets.numGroups);
+    // Fatal crashes are point events: the configured duration is
+    // ignored (forced to 0) so arrivals stay a Poisson process with
+    // MTBF = 1/rate regardless of what the scenario struct says.
+    add(FaultKind::FatalCrash, {cfg.fatalCrash.ratePerSec, 0.0, 0.0}, 1);
+    return classes;
 }
 
 } // namespace
@@ -73,10 +89,8 @@ corruptionKindName(CorruptionKind kind)
 
 FaultInjector::FaultInjector(const FaultConfig &cfg,
                              const FaultTargets &targets)
-    : cfg_(cfg),
-      targets_(targets),
-      readFailRng_(mix64(cfg.seed ^ kReadFailStream)),
-      classes_(makeClasses(cfg, targets))
+    : ArrivalStream(makeClasses(cfg, targets), {}), cfg_(cfg),
+      readFailRng_(streamRng(cfg.seed, kReadFailStream))
 {
     panic_if(cfg_.ssdReadFailureProb < 0.0 ||
                  cfg_.ssdReadFailureProb >= 1.0,
@@ -90,60 +104,26 @@ FaultInjector::FaultInjector(const FaultConfig &cfg,
         panic_if(p < 0.0 || p >= 1.0,
                  "corruption probability for %s must be in [0, 1), got %g",
                  corruptionKindName(kind), p);
-        corruptionRngs_[k] = Rng(mix64(cfg.seed ^ corruptionStreamTag(kind)));
+        corruptionRngs_[k] = streamRng(cfg.seed, corruptionStreamTag(kind));
     }
     panic_if(cfg_.corruption.pcieReplayLatency < 0.0,
              "pcieReplayLatency must be >= 0, got %g",
              cfg_.corruption.pcieReplayLatency);
 }
 
-std::vector<FaultInjector::ClassState>
-FaultInjector::makeClasses(const FaultConfig &cfg,
-                           const FaultTargets &targets)
-{
-    std::vector<ClassState> classes;
-    auto add = [&](FaultKind kind, const FaultClassConfig &cc,
-                   std::size_t n_targets) {
-        if (cc.ratePerSec <= 0.0 || cc.duration <= 0.0 || n_targets == 0)
-            return;
-        ClassState cs{kind, cc, n_targets,
-                      Rng(mix64(cfg.seed ^ classStreamTag(kind))), 0.0};
-        classes.push_back(std::move(cs));
-    };
-    add(FaultKind::SsdDegrade, cfg.ssdDegrade, targets.numSsds);
-    add(FaultKind::PrepCrash, cfg.prepCrash, targets.numGroups);
-    add(FaultKind::EthDegrade, cfg.ethDegrade, 1);
-    add(FaultKind::RouteLoss, cfg.routeLoss, targets.numGroups);
-    // Fatal crashes are point events: the configured duration is
-    // ignored (forced to 0) so arrivals stay a Poisson process with
-    // MTBF = 1/rate regardless of what the scenario struct says.
-    if (cfg.fatalCrash.ratePerSec > 0.0) {
-        FaultClassConfig fatal = cfg.fatalCrash;
-        fatal.duration = 0.0;
-        fatal.magnitude = 0.0;
-        classes.push_back(ClassState{
-            FaultKind::FatalCrash, fatal, 1,
-            Rng(mix64(cfg.seed ^ classStreamTag(FaultKind::FatalCrash))),
-            0.0});
-    }
-    return classes;
-}
-
 FaultEvent
-FaultInjector::nextEvent(ClassState &cs)
+FaultWindows::draw(Class &c, Time start)
 {
-    // Exponential inter-arrival measured from the end of the previous
-    // window, so windows of one class never overlap.
-    const double u = cs.rng.uniform();
-    const Time gap = -std::log(1.0 - u) / cs.cfg.ratePerSec;
+    // The gap runs from the end of the previous window, so windows of
+    // one class never overlap.
     FaultEvent ev;
-    ev.kind = cs.kind;
-    ev.target = static_cast<std::size_t>(cs.rng.uniformInt(
-        0, static_cast<std::int64_t>(cs.numTargets) - 1));
-    ev.start = cs.prevEnd + gap;
-    ev.duration = cs.cfg.duration;
-    ev.magnitude = cs.cfg.magnitude;
-    cs.prevEnd = ev.start + ev.duration;
+    ev.kind = c.kind;
+    ev.target = static_cast<std::size_t>(c.rng.uniformInt(
+        0, static_cast<std::int64_t>(c.numTargets) - 1));
+    ev.start = start;
+    ev.duration = c.cfg.duration;
+    ev.magnitude = c.cfg.magnitude;
+    c.prevEnd = ev.start + ev.duration;
     return ev;
 }
 
@@ -193,60 +173,6 @@ FaultInjector::stragglerFactor(std::size_t group, std::size_t step) const
     return u < cfg_.stragglerProb ? cfg_.stragglerFactor : 1.0;
 }
 
-void
-FaultInjector::scheduleClass(EventQueue &eq, std::size_t idx)
-{
-    ClassState &cs = classes_[idx];
-    const FaultEvent ev = nextEvent(cs);
-    eq.schedule(origin_ + ev.start, [this, &eq, idx, ev] {
-        ++faultsInjected_;
-        if (onFault_)
-            onFault_(ev);
-        eq.schedule(origin_ + ev.start + ev.duration, [this, ev] {
-            if (onRepair_)
-                onRepair_(ev);
-        });
-        // Chain the class's next window (drawn lazily so the schedule
-        // extends as far as the simulation runs).
-        scheduleClass(eq, idx);
-    });
-}
-
-void
-FaultInjector::arm(EventQueue &eq, FaultHandler onFault,
-                   FaultHandler onRepair)
-{
-    onFault_ = std::move(onFault);
-    onRepair_ = std::move(onRepair);
-    // Anchor the job-relative schedule at the current clock (0 for the
-    // historical standalone run, so x + 0.0 leaves every time exact).
-    origin_ = eq.now();
-    for (std::size_t i = 0; i < classes_.size(); ++i)
-        scheduleClass(eq, i);
-}
-
-std::vector<FaultEvent>
-FaultInjector::schedule(const FaultConfig &cfg, const FaultTargets &targets,
-                        Time horizon)
-{
-    std::vector<FaultEvent> events;
-    for (ClassState &cs : makeClasses(cfg, targets)) {
-        while (true) {
-            const FaultEvent ev = nextEvent(cs);
-            if (ev.start >= horizon)
-                break;
-            events.push_back(ev);
-        }
-    }
-    // Merge the per-class streams into global time order (stable for
-    // identical timestamps: class declaration order).
-    std::stable_sort(events.begin(), events.end(),
-                     [](const FaultEvent &a, const FaultEvent &b) {
-                         return a.start < b.start;
-                     });
-    return events;
-}
-
 // --- fleet-level faults -------------------------------------------------
 
 namespace {
@@ -256,6 +182,37 @@ fleetClassStreamTag(FleetFaultKind kind)
 {
     return 0x464c454554ull + static_cast<std::uint64_t>(kind);
 }
+
+/** Seeded fleet-fault windows (FleetFaultInjector::arm() plays repairs). */
+struct FleetWindows
+{
+    using Event = FleetFaultEvent;
+    struct Class : ArrivalClass
+    {
+        FleetFaultKind kind = FleetFaultKind::HostOutage;
+        std::size_t numTargets = 0;
+        Time mttr = 0.0;
+        std::size_t units = 1;
+    };
+    static constexpr FollowUps kFollowUps = FollowUps::None;
+    static Time at(const FleetFaultEvent &ev) { return ev.start; }
+
+    static FleetFaultEvent
+    draw(Class &c, Time start)
+    {
+        // The gap runs from the previous window's end (per-class
+        // windows never overlap); the victim is uniform.
+        FleetFaultEvent ev;
+        ev.kind = c.kind;
+        ev.host = static_cast<std::size_t>(c.rng.uniformInt(
+            0, static_cast<std::int64_t>(c.numTargets) - 1));
+        ev.start = start;
+        ev.duration = c.mttr;
+        ev.units = c.units;
+        c.prevEnd = ev.start + ev.duration;
+        return ev;
+    }
+};
 
 } // namespace
 
@@ -273,59 +230,34 @@ fleetFaultKindName(FleetFaultKind kind)
     return "unknown";
 }
 
-std::vector<FleetFaultEvent>
-FleetFaultInjector::schedule(const FleetFaultConfig &cfg,
-                             std::size_t numHosts, Time horizon)
-{
-    std::vector<FleetFaultEvent> events;
-    if (!cfg.enabled)
-        return events;
-    // Scripted windows first: they sort ahead of same-instant seeded
-    // windows, so a hand-written scenario always plays as written.
-    events = cfg.schedule;
-    // Seeded streams: exponential inter-arrival from the previous
-    // window's *end* (per-class windows never overlap), aggregate rate
-    // numTargets / mtbf, uniform victim. Bounded by the horizon — fleet
-    // validation requires horizon > 0 when any class is active.
-    auto addClass = [&](FleetFaultKind kind, const FleetFaultClassConfig &cc,
-                        std::size_t n_targets, std::size_t units) {
-        if (cc.mtbf <= 0.0 || n_targets == 0 || horizon <= 0.0)
-            return;
-        Rng rng(mix64(cfg.seed ^ fleetClassStreamTag(kind)));
-        const double rate = static_cast<double>(n_targets) / cc.mtbf;
-        Time prev_end = 0.0;
-        while (true) {
-            const double u = rng.uniform();
-            const Time start = prev_end - std::log(1.0 - u) / rate;
-            if (start >= horizon)
-                break;
-            FleetFaultEvent ev;
-            ev.kind = kind;
-            ev.host = static_cast<std::size_t>(rng.uniformInt(
-                0, static_cast<std::int64_t>(n_targets) - 1));
-            ev.start = start;
-            ev.duration = cc.mttr;
-            ev.units = units;
-            prev_end = ev.start + ev.duration;
-            events.push_back(ev);
-        }
-    };
-    addClass(FleetFaultKind::HostOutage, cfg.hostOutage, numHosts, 1);
-    addClass(FleetFaultKind::BoxLoss, cfg.boxLoss, numHosts,
-             cfg.boxLossUnits);
-    addClass(FleetFaultKind::PoolPartition, cfg.poolPartition, 1,
-             cfg.poolPartitionFpgas);
-    std::stable_sort(events.begin(), events.end(),
-                     [](const FleetFaultEvent &a, const FleetFaultEvent &b) {
-                         return a.start < b.start;
-                     });
-    return events;
-}
-
 FleetFaultInjector::FleetFaultInjector(const FleetFaultConfig &cfg,
                                        std::size_t numHosts, Time horizon)
-    : events_(schedule(cfg, numHosts, horizon))
 {
+    if (!cfg.enabled)
+        return;
+    // Seeded classes need the horizon to end; fleet validation requires
+    // one when any class is active.
+    std::vector<FleetWindows::Class> classes;
+    auto add = [&](FleetFaultKind kind, const FleetFaultClassConfig &cc,
+                   std::size_t n_targets, std::size_t units) {
+        if (cc.mtbf <= 0.0 || n_targets == 0 || horizon <= 0.0)
+            return;
+        classes.push_back(
+            {{streamRng(cfg.seed, fleetClassStreamTag(kind)),
+              static_cast<double>(n_targets) / cc.mtbf},
+             kind,
+             n_targets,
+             cc.mttr,
+             units});
+    };
+    add(FleetFaultKind::HostOutage, cfg.hostOutage, numHosts, 1);
+    add(FleetFaultKind::BoxLoss, cfg.boxLoss, numHosts, cfg.boxLossUnits);
+    add(FleetFaultKind::PoolPartition, cfg.poolPartition, 1,
+        cfg.poolPartitionFpgas);
+    events_ = ArrivalStream<FleetWindows>(std::move(classes), cfg.schedule)
+                  .preview(horizon > 0.0
+                               ? horizon
+                               : std::numeric_limits<Time>::infinity());
 }
 
 void

@@ -19,7 +19,8 @@
  *  - **windowed faults** (SSD latency spike, prep-FPGA crash, Ethernet
  *    degradation, loss of a switch-local P2P route) generated as
  *    non-overlapping (per class) windows with exponential inter-arrival
- *    times and played onto the EventQueue by arm().
+ *    times and played onto the EventQueue by arm(), through the shared
+ *    arrival stream (sim/arrivals.hh).
  *
  * Recovery *policy* knobs (retry budgets, backoff, failover switches)
  * also live in FaultConfig so a whole scenario is one struct; the
@@ -36,6 +37,7 @@
 #include <vector>
 
 #include "common/random.hh"
+#include "sim/arrivals.hh"
 #include "sim/event_queue.hh"
 
 namespace tb {
@@ -245,12 +247,38 @@ struct FaultEvent
     double magnitude = 1.0;
 };
 
+/** Fault windows as an arrival Source (sim/arrivals.hh). */
+struct FaultWindows
+{
+    using Event = FaultEvent;
+    struct Class : ArrivalClass
+    {
+        FaultKind kind = FaultKind::SsdDegrade;
+        FaultClassConfig cfg;
+        std::size_t numTargets = 0;
+    };
+    /** The repair: the same window, at its end. */
+    static constexpr FollowUps kFollowUps = FollowUps::Unlisted;
+    static Time at(const FaultEvent &ev) { return ev.start; }
+    static FaultEvent draw(Class &c, Time start);
+    static FollowUp<FaultEvent>
+    followUp(const Class &, const FaultEvent &ev, Time origin)
+    {
+        return {ev, origin + ev.start + ev.duration};
+    }
+};
+
 /**
  * Draws every fault decision for one simulation run. Construct one per
  * session; per-attempt streams are consumed in simulation order, which
  * is itself deterministic, so runs reproduce exactly.
+ *
+ * The windowed faults are its arrival stream: arm(eq, onFault,
+ * onRepair) fires onFault at each window's start and onRepair at its
+ * end, preview() lists the windows, and delivered() counts the faults
+ * injected. Windows of one class never overlap.
  */
-class FaultInjector
+class FaultInjector : public ArrivalStream<FaultWindows>
 {
   public:
     FaultInjector(const FaultConfig &cfg, const FaultTargets &targets);
@@ -270,75 +298,20 @@ class FaultInjector
     /** Total corruptions injected so far, across all kinds. */
     std::size_t corruptionsInjected() const;
 
-    /** Corruptions injected so far, per kind. */
-    const std::array<std::size_t, kNumCorruptionKinds> &
-    corruptionsByKind() const
-    {
-        return corruptions_;
-    }
-
     /**
      * Compute-time multiplier for (group, step); 1.0 = healthy.
      * Pure hash of (seed, group, step) — order-independent.
      */
     double stragglerFactor(std::size_t group, std::size_t step) const;
 
-    using FaultHandler = std::function<void(const FaultEvent &)>;
-
-    /**
-     * Play the windowed-fault schedule onto @p eq: @p onFault fires at
-     * each window's start, @p onRepair at its end. Windows of one class
-     * never overlap; the schedule is a pure function of (config,
-     * targets) and is exactly what schedule() previews, shifted by the
-     * clock reading at arm() time — a fleet job armed at t > 0 replays
-     * the same job-relative schedule on its own offset timeline.
-     */
-    void arm(EventQueue &eq, FaultHandler onFault, FaultHandler onRepair);
-
-    /**
-     * Deterministically enumerate the windowed events in [0, horizon)
-     * for a scenario, without an event queue — what arm() will play.
-     */
-    static std::vector<FaultEvent> schedule(const FaultConfig &cfg,
-                                            const FaultTargets &targets,
-                                            Time horizon);
-
-    /** Windowed faults injected so far (after arm()). */
-    std::size_t faultsInjected() const { return faultsInjected_; }
-
     /** SSD read-attempt failures injected so far. */
     std::size_t readFailuresInjected() const { return readFailures_; }
 
   private:
-    /** Lazy per-class arrival generator state. */
-    struct ClassState
-    {
-        FaultKind kind;
-        FaultClassConfig cfg;
-        std::size_t numTargets = 0;
-        Rng rng;
-        Time prevEnd = 0.0;
-    };
-
-    static std::vector<ClassState> makeClasses(const FaultConfig &cfg,
-                                               const FaultTargets &targets);
-
-    /** Draw the class's next window (start measured from prevEnd). */
-    static FaultEvent nextEvent(ClassState &cs);
-
-    void scheduleClass(EventQueue &eq, std::size_t idx);
-
     FaultConfig cfg_;
-    FaultTargets targets_;
     Rng readFailRng_;
     std::array<Rng, kNumCorruptionKinds> corruptionRngs_;
     std::array<std::size_t, kNumCorruptionKinds> corruptions_{};
-    std::vector<ClassState> classes_;
-    FaultHandler onFault_;
-    FaultHandler onRepair_;
-    /** Clock at arm(): schedules are job-relative, the queue absolute. */
-    Time origin_ = 0.0;
-    std::size_t faultsInjected_ = 0;
     std::size_t readFailures_ = 0;
 };
 
@@ -348,8 +321,9 @@ class FaultInjector
 // (trainbox/fleet.hh) additionally models failures of the hosts the
 // servers run on and of the shared prep-pool fabric between them. The
 // same determinism rules apply: a FleetFaultConfig is a pure description,
-// FleetFaultInjector::schedule() enumerates the exact windows arm() will
-// play, and same-seed runs reproduce bit-for-bit.
+// FleetFaultInjector::events() lists the exact windows arm() will play,
+// enumerated by the shared arrival stream, and same-seed runs reproduce
+// bit-for-bit.
 
 /** Classes of fleet-level faults. */
 enum class FleetFaultKind
@@ -438,13 +412,19 @@ struct FleetFaultConfig
  * Plays a FleetFaultConfig onto the fleet's event queue. Unlike the
  * per-session FaultInjector the whole schedule is pre-enumerated (fleet
  * runs are horizon-bounded when random streams are active), so handlers
- * additionally receive the event's index into schedule() — the fleet
+ * additionally receive the event's index into events() — the fleet
  * uses it to pair each repair with exactly the severity its fault
  * actually applied (clamped box counts, partial pool fences).
  */
 class FleetFaultInjector
 {
   public:
+    /**
+     * Enumerate the windows in [0, horizon) (horizon <= 0: unbounded,
+     * scripted windows only): the scripted schedule merged with the
+     * seeded streams, whose aggregate rate per class is numTargets /
+     * mtbf, in time order with scripted-before-seeded tie-breaking.
+     */
     FleetFaultInjector(const FleetFaultConfig &cfg, std::size_t numHosts,
                        Time horizon);
 
@@ -464,16 +444,6 @@ class FleetFaultInjector
 
     /** Fleet faults injected so far (after arm()). */
     std::size_t faultsInjected() const { return faultsInjected_; }
-
-    /**
-     * Deterministically enumerate the fleet-fault windows in
-     * [0, horizon): the scripted schedule merged with the seeded
-     * exponential streams (per-class windows never overlap), sorted by
-     * start time with scripted-before-seeded tie-breaking.
-     */
-    static std::vector<FleetFaultEvent>
-    schedule(const FleetFaultConfig &cfg, std::size_t numHosts,
-             Time horizon);
 
   private:
     std::vector<FleetFaultEvent> events_;

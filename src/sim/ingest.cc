@@ -9,15 +9,6 @@ namespace tb {
 
 namespace {
 
-/** splitmix64 finalizer — derives unrelated streams from one seed. */
-std::uint64_t
-mix64(std::uint64_t z)
-{
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
-}
-
 /** Per-class stream tags (keep stable: they define the traces). */
 constexpr std::uint64_t kIngestStream = 0x494e474553ull;
 constexpr std::uint64_t kWriteFailStream = 0x494e475746ull;
@@ -30,21 +21,31 @@ classStreamTag(IngestTrafficKind kind)
 
 constexpr double kTwoPi = 6.283185307179586476925286766559;
 
-} // namespace
-
-const char *
-ingestTrafficKindName(IngestTrafficKind kind)
+std::vector<IngestTraffic::Class>
+makeClasses(const IngestConfig &cfg)
 {
-    switch (kind) {
-      case IngestTrafficKind::Steady:
-        return "steady";
-      case IngestTrafficKind::Diurnal:
-        return "diurnal";
-      case IngestTrafficKind::Burst:
-        return "burst";
-    }
-    return "unknown";
+    std::vector<IngestTraffic::Class> classes;
+    auto add = [&](IngestTrafficKind kind, const IngestClassConfig &cc,
+                   double amplitude, Time period) {
+        if (cc.ratePerSec <= 0.0 || cc.samplesPerEvent <= 0.0)
+            return;
+        // The event rate: the class delivers its mean sample rate in
+        // batch-sized lumps.
+        classes.push_back({{streamRng(cfg.seed, classStreamTag(kind)),
+                            cc.ratePerSec / cc.samplesPerEvent},
+                           kind,
+                           cc,
+                           amplitude,
+                           period});
+    };
+    add(IngestTrafficKind::Steady, cfg.steady, 0.0, 1.0);
+    add(IngestTrafficKind::Diurnal, cfg.diurnal, cfg.diurnalAmplitude,
+        cfg.diurnalPeriod);
+    add(IngestTrafficKind::Burst, cfg.burst, 0.0, 1.0);
+    return classes;
 }
+
+} // namespace
 
 const char *
 ingestPolicyName(IngestPolicy policy)
@@ -63,128 +64,41 @@ ingestPolicyName(IngestPolicy policy)
 }
 
 IngestScheduler::IngestScheduler(const IngestConfig &cfg)
-    : cfg_(cfg), classes_(makeClasses(cfg)),
-      writeFailRng_(mix64(cfg.seed ^ kWriteFailStream))
+    : ArrivalStream(makeClasses(cfg), cfg.schedule),
+      writeFailureProb_(cfg.writeFailureProb),
+      writeFailRng_(streamRng(cfg.seed, kWriteFailStream))
 {
-    panic_if(cfg_.bufferCapacity < 0.0,
+    panic_if(cfg.bufferCapacity < 0.0,
              "ingest.bufferCapacity must be >= 0, got %g",
-             cfg_.bufferCapacity);
-    panic_if(cfg_.diurnalPeriod <= 0.0 && cfg_.diurnal.ratePerSec > 0.0,
-             "ingest.diurnalPeriod must be > 0, got %g",
-             cfg_.diurnalPeriod);
-}
-
-std::vector<IngestScheduler::ClassState>
-IngestScheduler::makeClasses(const IngestConfig &cfg)
-{
-    std::vector<ClassState> classes;
-    auto add = [&](IngestTrafficKind kind, const IngestClassConfig &cc,
-                   double amplitude, Time period) {
-        if (cc.ratePerSec <= 0.0 || cc.samplesPerEvent <= 0.0)
-            return;
-        ClassState cs{kind,
-                      cc,
-                      amplitude,
-                      period,
-                      Rng(mix64(cfg.seed ^ classStreamTag(kind))),
-                      0.0};
-        classes.push_back(std::move(cs));
-    };
-    add(IngestTrafficKind::Steady, cfg.steady, 0.0, 1.0);
-    add(IngestTrafficKind::Diurnal, cfg.diurnal, cfg.diurnalAmplitude,
-        cfg.diurnalPeriod);
-    add(IngestTrafficKind::Burst, cfg.burst, 0.0, 1.0);
-    return classes;
+             cfg.bufferCapacity);
+    panic_if(cfg.diurnalPeriod <= 0.0 && cfg.diurnal.ratePerSec > 0.0,
+             "ingest.diurnalPeriod must be > 0, got %g", cfg.diurnalPeriod);
 }
 
 IngestArrival
-IngestScheduler::nextArrival(ClassState &cs)
+IngestTraffic::draw(Class &c, Time start)
 {
-    // Exponential inter-event gap at the class's event rate, so the
-    // class delivers its mean sample rate in batch-sized lumps.
-    const double event_rate = cs.cfg.ratePerSec / cs.cfg.samplesPerEvent;
-    const double u = cs.rng.uniform();
-    const Time gap = -std::log(1.0 - u) / event_rate;
-
     IngestArrival ev;
-    ev.kind = cs.kind;
-    ev.priority = cs.cfg.priority;
-    ev.at = cs.prevAt + gap;
+    ev.kind = c.kind;
+    ev.priority = c.cfg.priority;
+    ev.at = start;
     // Diurnal traffic modulates the batch *volume* at a fixed event
     // rate: rate(t) = mean * (1 + A sin(2*pi*t/period)), clamped at 0.
     double scale = 1.0;
-    if (cs.amplitude > 0.0)
+    if (c.amplitude > 0.0)
         scale = std::max(
-            0.0, 1.0 + cs.amplitude * std::sin(kTwoPi * ev.at / cs.period));
-    ev.samples = cs.cfg.samplesPerEvent * scale;
-    cs.prevAt = ev.at;
+            0.0, 1.0 + c.amplitude * std::sin(kTwoPi * ev.at / c.period));
+    ev.samples = c.cfg.samplesPerEvent * scale;
+    c.prevEnd = ev.at;
     return ev;
-}
-
-void
-IngestScheduler::deliver(const IngestArrival &ev)
-{
-    ++delivered_;
-    if (handler_)
-        handler_(ev);
-}
-
-void
-IngestScheduler::scheduleClass(EventQueue &eq, std::size_t idx)
-{
-    ClassState &cs = classes_[idx];
-    const IngestArrival ev = nextArrival(cs);
-    eq.schedule(origin_ + ev.at, [this, &eq, idx, ev] {
-        deliver(ev);
-        // Chain the class's next arrival (drawn lazily so the trace
-        // extends as far as the simulation runs).
-        scheduleClass(eq, idx);
-    });
-}
-
-void
-IngestScheduler::arm(EventQueue &eq, Handler handler)
-{
-    handler_ = std::move(handler);
-    // Anchor the job-relative schedule at the current clock (0 for the
-    // historical standalone run, so x + 0.0 leaves every time exact).
-    origin_ = eq.now();
-    for (const IngestArrival &ev : cfg_.schedule)
-        eq.schedule(origin_ + ev.at, [this, ev] { deliver(ev); });
-    for (std::size_t i = 0; i < classes_.size(); ++i)
-        scheduleClass(eq, i);
 }
 
 bool
 IngestScheduler::writeAttemptFails()
 {
-    if (cfg_.writeFailureProb <= 0.0)
+    if (writeFailureProb_ <= 0.0)
         return false;
-    return writeFailRng_.uniform() < cfg_.writeFailureProb;
-}
-
-std::vector<IngestArrival>
-IngestScheduler::schedule(const IngestConfig &cfg, Time horizon)
-{
-    std::vector<IngestArrival> events;
-    for (const IngestArrival &ev : cfg.schedule)
-        if (ev.at < horizon)
-            events.push_back(ev);
-    for (ClassState &cs : makeClasses(cfg)) {
-        while (true) {
-            const IngestArrival ev = nextArrival(cs);
-            if (ev.at >= horizon)
-                break;
-            events.push_back(ev);
-        }
-    }
-    // Merge into global time order (stable for identical timestamps:
-    // explicit schedule first, then class declaration order).
-    std::stable_sort(events.begin(), events.end(),
-                     [](const IngestArrival &a, const IngestArrival &b) {
-                         return a.at < b.at;
-                     });
-    return events;
+    return writeFailRng_.uniform() < writeFailureProb_;
 }
 
 } // namespace tb

@@ -13,10 +13,10 @@
  * trace as three seeded classes (steady base load, a diurnally
  * modulated swing, and low-priority bursts) plus an optional explicit
  * schedule, and IngestScheduler turns it into a *reproducible* stream
- * of arrival events, exactly like sim/fault_injector.hh and
- * sim/elastic_schedule.hh turn their configs into schedules: every
- * decision is drawn from seed-derived tb::Rng streams, so two runs
- * with the same config see the same traffic timeline.
+ * of arrival events through the arrival stream every injector shares
+ * (sim/arrivals.hh): every decision is drawn from seed-derived tb::Rng
+ * streams, so two runs with the same config see the same traffic
+ * timeline.
  *
  * The overload *policy* — watermarks, admission control, the
  * throttle→shed→echo→stall chain, the conservation ledger — lives in
@@ -28,11 +28,10 @@
 #define TRAINBOX_SIM_INGEST_HH
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "common/random.hh"
-#include "sim/event_queue.hh"
+#include "sim/arrivals.hh"
 
 namespace tb {
 
@@ -43,9 +42,6 @@ enum class IngestTrafficKind
     Diurnal, ///< sinusoidally modulated swing (time-of-day traffic)
     Burst,   ///< low-priority bursts (bulk uploads, backfills)
 };
-
-/** Display name ("steady"/"diurnal"/"burst"). */
-const char *ingestTrafficKindName(IngestTrafficKind kind);
 
 /**
  * Overload policies, applied in the configured chain order as the
@@ -191,67 +187,40 @@ struct IngestConfig
     }
 };
 
+/** Traffic classes as an arrival Source (sim/arrivals.hh). */
+struct IngestTraffic
+{
+    using Event = IngestArrival;
+    struct Class : ArrivalClass
+    {
+        IngestTrafficKind kind = IngestTrafficKind::Steady;
+        IngestClassConfig cfg;
+        double amplitude = 0.0;
+        Time period = 1.0;
+    };
+    static constexpr FollowUps kFollowUps = FollowUps::None;
+    static Time at(const IngestArrival &ev) { return ev.at; }
+    static IngestArrival draw(Class &c, Time start);
+};
+
 /**
- * Draws the traffic timeline for one run. Construct one per session;
- * arm() plays the same arrivals schedule() previews.
+ * Draws the traffic timeline for one run. Construct one per session.
+ * It is an arrival stream: arm(eq, handler) plays the explicit
+ * arrivals, then each class chaining its next arrival lazily, so the
+ * trace extends as far as the run does; preview() lists the same
+ * arrivals.
  */
-class IngestScheduler
+class IngestScheduler : public ArrivalStream<IngestTraffic>
 {
   public:
     explicit IngestScheduler(const IngestConfig &cfg);
-
-    const IngestConfig &config() const { return cfg_; }
-
-    using Handler = std::function<void(const IngestArrival &)>;
-
-    /**
-     * Play the arrival schedule onto @p eq. Each class chains its next
-     * event lazily, so the trace extends as far as the run does. Event
-     * times are job-relative, anchored at the clock reading when arm()
-     * is called (0 for the historical standalone run).
-     */
-    void arm(EventQueue &eq, Handler handler);
-
-    /**
-     * Deterministically enumerate the arrivals in [0, horizon) without
-     * an event queue — what arm() will play, in time order.
-     */
-    static std::vector<IngestArrival> schedule(const IngestConfig &cfg,
-                                               Time horizon);
-
-    /** Arrival events delivered so far (after arm()). */
-    std::size_t eventsDelivered() const { return delivered_; }
 
     /** Does the next shard-write attempt fail? (consumes the stream) */
     bool writeAttemptFails();
 
   private:
-    /** Lazy per-class arrival generator state. */
-    struct ClassState
-    {
-        IngestTrafficKind kind;
-        IngestClassConfig cfg;
-        double amplitude = 0.0;
-        Time period = 1.0;
-        Rng rng;
-        Time prevAt = 0.0;
-    };
-
-    static std::vector<ClassState> makeClasses(const IngestConfig &cfg);
-
-    /** Draw the class's next arrival. */
-    static IngestArrival nextArrival(ClassState &cs);
-
-    void scheduleClass(EventQueue &eq, std::size_t idx);
-    void deliver(const IngestArrival &ev);
-
-    IngestConfig cfg_;
-    std::vector<ClassState> classes_;
+    double writeFailureProb_;
     Rng writeFailRng_;
-    Handler handler_;
-    std::size_t delivered_ = 0;
-    /** Clock at arm(): schedules are job-relative, the queue absolute. */
-    Time origin_ = 0.0;
 };
 
 } // namespace tb

@@ -435,7 +435,7 @@ TrainingSession::onFault(const FaultEvent &ev)
     if (activeFaultWindows_++ == 0)
         degradedStart_ = eq_.now();
     if (trace_)
-        trace_->complete("faults", faultKindName(ev.kind), ev.start,
+        trace_->complete("faults", faultKindName(ev.kind), eq_.now(),
                          ev.duration, "fault");
     switch (ev.kind) {
       case FaultKind::SsdDegrade:
@@ -1270,18 +1270,16 @@ TrainingSession::arm()
             server_.cfg.elasticity, etargets);
         // Mid-session scale-up: the deferred groups start detached and
         // receive a Join event at scaleUpTime.
-        std::size_t defer = server_.cfg.elasticity.deferredJoinGroups;
-        if (!groups_.empty())
-            defer = std::min(defer, groups_.size() - 1);
-        for (std::size_t i = 0; i < defer; ++i) {
-            GroupState &gs = groups_[groups_.size() - 1 - i];
+        const std::vector<std::size_t> &deferred = elastic_->deferredGroups();
+        for (std::size_t g : deferred) {
+            GroupState &gs = groups_[g];
             gs.membership = Membership::Detached;
             for (PrepAccelerator *p : gs.spec->preps)
                 p->setFailed(true);
             --activeGroups_;
         }
         lastCapacityMark_ = eq_.now();
-        if (defer > 0)
+        if (!deferred.empty())
             replanOffload();
         elastic_->arm(eq_, [this](const ElasticEvent &ev) {
             onElasticEvent(ev);
@@ -1379,7 +1377,7 @@ TrainingSession::finalizeResult(bool partial)
             activeFaultWindows_ = 0;
         }
         res.faults = faultStats_;
-        res.faults.faultsInjected = fault_->faultsInjected();
+        res.faults.faultsInjected = fault_->delivered();
         res.faults.readFailures = fault_->readFailuresInjected();
         res.faults.degradedTime = degradedTime_;
         res.integrity = integrityStats_;
@@ -1422,7 +1420,7 @@ TrainingSession::finalizeResult(bool partial)
              samplesDiscarded_);
     if (elastic_) {
         accrueCapacity();
-        elasticStats_.events = elastic_->eventsDelivered();
+        elasticStats_.events = elastic_->delivered();
         const Time total = eq_.now() - startNow_;
         elasticStats_.avgActiveFraction =
             total > 0.0 ? activeFractionIntegral_ / total : 1.0;

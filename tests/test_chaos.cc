@@ -594,8 +594,8 @@ TEST(ElasticSchedulerUnit, PreviewIsDeterministicAndPaired)
     ElasticTargets targets;
     targets.numGroups = 4;
 
-    const auto a = ElasticScheduler::schedule(cfg, targets, 100.0);
-    const auto b = ElasticScheduler::schedule(cfg, targets, 100.0);
+    const auto a = ElasticScheduler(cfg, targets).preview(100.0);
+    const auto b = ElasticScheduler(cfg, targets).preview(100.0);
     ASSERT_EQ(a.size(), b.size());
     ASSERT_GT(a.size(), 4u);
     Time prev = 0.0;
@@ -620,7 +620,7 @@ TEST(ElasticSchedulerUnit, PreviewIsDeterministicAndPaired)
 
     // A different seed draws a different timeline.
     cfg.seed = 43;
-    const auto c = ElasticScheduler::schedule(cfg, targets, 100.0);
+    const auto c = ElasticScheduler(cfg, targets).preview(100.0);
     bool differs = c.size() != a.size();
     for (std::size_t i = 0; !differs && i < c.size(); ++i)
         differs = c[i].at != a[i].at || c[i].index != a[i].index;

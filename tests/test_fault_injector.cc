@@ -33,8 +33,8 @@ TEST(FaultSchedule, DeterministicAndNonOverlapping)
     targets.numSsds = 8;
     targets.numGroups = 4;
 
-    const auto a = FaultInjector::schedule(fc, targets, 100.0);
-    const auto b = FaultInjector::schedule(fc, targets, 100.0);
+    const auto a = FaultInjector(fc, targets).preview(100.0);
+    const auto b = FaultInjector(fc, targets).preview(100.0);
     ASSERT_FALSE(a.empty());
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.size(); ++i) {
@@ -62,9 +62,9 @@ TEST(FaultSchedule, NewSeedNewSchedule)
     FaultTargets targets;
     targets.numSsds = 8;
     targets.numGroups = 4;
-    const auto a = FaultInjector::schedule(fc, targets, 100.0);
+    const auto a = FaultInjector(fc, targets).preview(100.0);
     fc.seed ^= 0x1;
-    const auto b = FaultInjector::schedule(fc, targets, 100.0);
+    const auto b = FaultInjector(fc, targets).preview(100.0);
     ASSERT_FALSE(a.empty());
     ASSERT_FALSE(b.empty());
     EXPECT_NE(a.front().start, b.front().start);
@@ -76,7 +76,7 @@ TEST(FaultSchedule, DisabledClassesProduceNothing)
     FaultTargets targets;
     targets.numSsds = 4;
     targets.numGroups = 2;
-    EXPECT_TRUE(FaultInjector::schedule(fc, targets, 1000.0).empty());
+    EXPECT_TRUE(FaultInjector(fc, targets).preview(1000.0).empty());
 }
 
 SessionResult

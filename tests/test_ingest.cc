@@ -78,8 +78,8 @@ TEST(IngestSchedulerUnit, PreviewIsDeterministicAndOrdered)
     cfg.steady = {500.0, 64.0, 2};
     cfg.burst = {200.0, 256.0, 0};
 
-    const auto a = IngestScheduler::schedule(cfg, 50.0);
-    const auto b = IngestScheduler::schedule(cfg, 50.0);
+    const auto a = IngestScheduler(cfg).preview(50.0);
+    const auto b = IngestScheduler(cfg).preview(50.0);
     ASSERT_EQ(a.size(), b.size());
     ASSERT_GT(a.size(), 10u);
     Time prev = 0.0;
@@ -100,7 +100,7 @@ TEST(IngestSchedulerUnit, PreviewIsDeterministicAndOrdered)
 
     // A different seed draws a different timeline.
     cfg.seed = 8;
-    const auto c = IngestScheduler::schedule(cfg, 50.0);
+    const auto c = IngestScheduler(cfg).preview(50.0);
     bool differs = c.size() != a.size();
     for (std::size_t i = 0; !differs && i < c.size(); ++i)
         differs = c[i].at != a[i].at;
@@ -116,7 +116,7 @@ TEST(IngestSchedulerUnit, DiurnalModulatesBatchVolume)
     cfg.diurnalPeriod = 20.0;
     EXPECT_TRUE(cfg.anyArrivals());
 
-    const auto events = IngestScheduler::schedule(cfg, 40.0);
+    const auto events = IngestScheduler(cfg).preview(40.0);
     ASSERT_GT(events.size(), 20u);
     constexpr double kTwoPi = 6.283185307179586476925286766559;
     for (const IngestArrival &ev : events) {
@@ -140,7 +140,7 @@ TEST(IngestSchedulerUnit, ExplicitScheduleMergedInTimeOrder)
     };
     EXPECT_TRUE(cfg.anyArrivals());
 
-    const auto events = IngestScheduler::schedule(cfg, 10.0);
+    const auto events = IngestScheduler(cfg).preview(10.0);
     ASSERT_EQ(events.size(), 2u);
     EXPECT_DOUBLE_EQ(events[0].samples, 100.0);
     EXPECT_DOUBLE_EQ(events[1].samples, 200.0);

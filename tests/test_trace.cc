@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <string>
+
 #include "sim/trace.hh"
 #include "trainbox/server_builder.hh"
 #include "trainbox/training_session.hh"
@@ -108,6 +111,42 @@ TEST(Trace, SessionRecordsPrepComputeAndSync)
     EXPECT_NE(json.find("\"ssd_read\""), std::string::npos);
     // Offload chains get their own tracks.
     EXPECT_NE(json.find(".offload"), std::string::npos);
+}
+
+// A session started on a clock already at t0 (a fleet job) draws its
+// fault windows where they happen on that clock, not t0 too early.
+TEST(Trace, FaultSpansUseTheSessionClock)
+{
+    ServerConfig cfg;
+    cfg.preset = ArchPreset::TrainBox;
+    cfg.model = workload::ModelId::Resnet50;
+    cfg.numAccelerators = 32;
+    cfg.faults.enabled = true;
+    cfg.faults.ssdDegrade = {2.0, 0.2, 0.2};
+    cfg.faults.ethDegrade = {2.0, 0.2, 0.5};
+    auto server = buildServer(cfg);
+
+    const Time t0 = 86400.0;
+    EventQueue &eq = server->core().events();
+    eq.schedule(t0, [] {});
+    eq.step();
+
+    TraceWriter trace;
+    TrainingSession session(*server);
+    session.setTrace(&trace);
+    session.run(2, 4);
+
+    const std::string json = trace.toJson();
+    const std::string needle = "\"cat\":\"fault\",\"ts\":";
+    std::size_t spans = 0;
+    for (auto pos = json.find(needle); pos != std::string::npos;
+         pos = json.find(needle, pos + 1)) {
+        const double ts = std::strtod(json.c_str() + pos + needle.size(),
+                                      nullptr);
+        EXPECT_GE(ts, t0 * 1e6);
+        ++spans;
+    }
+    EXPECT_GT(spans, 0u);
 }
 
 TEST(Trace, SessionWithoutTraceStillWorks)
