@@ -94,6 +94,10 @@ class ArrivalStream
     {
     }
 
+    // Armed events hold `this`.
+    ArrivalStream(const ArrivalStream &) = delete;
+    ArrivalStream &operator=(const ArrivalStream &) = delete;
+
     /**
      * Play the stream onto @p eq (at most once). @p onEvent receives
      * every event preview() lists, @p onFollowUp each unlisted
