@@ -5,6 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <sstream>
+#include <utility>
+
 #include "trainbox/server_builder.hh"
 
 namespace tb {
@@ -131,6 +139,159 @@ TEST(Builder, StagesHaveDemands)
             }
         }
     }
+}
+
+/** Exact bit pattern of @p v as 16 hex digits. */
+std::string
+bitsOf(double v)
+{
+    std::uint64_t b;
+    std::memcpy(&b, &v, sizeof b);
+    char buf[17];
+    std::snprintf(buf, sizeof buf, "%016llx",
+                  static_cast<unsigned long long>(b));
+    return buf;
+}
+
+void
+dumpTemplate(std::ostringstream &os, const StageTemplate &st)
+{
+    os << "  " << st.name << " cat=" << st.category
+       << " cap=" << bitsOf(st.rateCap) << " fair=" << bitsOf(st.fairWeight)
+       << " hops=" << st.corruptionHops
+       << " verifies=" << st.verifiesIntegrity << "\n";
+    // Sorted by resource name: the order of first insertion moves no
+    // output, the merged weights do.
+    std::vector<std::pair<std::string, std::string>> ds;
+    for (const auto &d : st.demandsPerSample)
+        ds.emplace_back(d.resource->name(), bitsOf(d.weight));
+    std::sort(ds.begin(), ds.end());
+    for (const auto &[name, weight] : ds)
+        os << "    " << name << " " << weight << "\n";
+}
+
+/** Every stage template list of every group, as text. */
+std::string
+dumpTemplates(const Server &server)
+{
+    std::ostringstream os;
+    const auto list = [&os](const char *what,
+                            const std::vector<StageTemplate> &stages) {
+        os << " " << what << " " << stages.size() << "\n";
+        for (const auto &st : stages)
+            dumpTemplate(os, st);
+    };
+    for (const auto &g : server.groups) {
+        os << g.name << "\n";
+        list("stages", g.stages);
+        list("offloadStages", g.offloadStages);
+        list("degradedStages", g.degradedStages);
+        list("degradedOffloadStages", g.degradedOffloadStages);
+        list("hostPathStages", g.hostPathStages);
+        list("checkpointWrite", {g.checkpointWrite});
+        list("ingestWrite", {g.ingestWrite});
+    }
+    return os.str();
+}
+
+std::uint64_t
+fnv1a(const std::string &text)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (unsigned char c : text)
+        h = (h ^ c) * 0x100000001b3ull;
+    return h;
+}
+
+ServerConfig
+pinConfig(ArchPreset preset, std::size_t accs, bool integrity)
+{
+    // TF-SR needs the prep-pool, so TrainBox builds its offload chains.
+    ServerConfig cfg = baseConfig(preset, workload::ModelId::TfSr, accs);
+    cfg.faults.enabled = integrity;
+    cfg.faults.integrityChecks = integrity;
+    cfg.ingest.enabled = true;
+    return cfg;
+}
+
+// Digests of dumpTemplates() recorded before the stage builders were
+// shared between presets. A template change moves a digest; one that is
+// meant must re-record the constant and say why in CHANGES.md.
+TEST(Builder, StageTemplatesMatchParent)
+{
+    static const struct
+    {
+        ArchPreset preset;
+        std::size_t accs;
+        bool integrity;
+        std::uint64_t digest;
+    } kPins[] = {
+        {ArchPreset::Baseline, 16, false, 0x7f265760aa9910adull},
+        {ArchPreset::Baseline, 16, true, 0x5a8c49b3af961c73ull},
+        {ArchPreset::Baseline, 64, false, 0x91ab0162d77fcde5ull},
+        {ArchPreset::Baseline, 64, true, 0x61dabe824adf6c15ull},
+        {ArchPreset::BaselineAccFpga, 16, false, 0x44c11578791ebb01ull},
+        {ArchPreset::BaselineAccFpga, 16, true, 0x6661a596ae747f13ull},
+        {ArchPreset::BaselineAccFpga, 64, false, 0xbc9d217169b61e5bull},
+        {ArchPreset::BaselineAccFpga, 64, true, 0x35d2855dde94e2fdull},
+        {ArchPreset::BaselineAccGpu, 16, false, 0x44c11578791ebb01ull},
+        {ArchPreset::BaselineAccGpu, 16, true, 0x6661a596ae747f13ull},
+        {ArchPreset::BaselineAccGpu, 64, false, 0xbc9d217169b61e5bull},
+        {ArchPreset::BaselineAccGpu, 64, true, 0x35d2855dde94e2fdull},
+        {ArchPreset::BaselineAccP2p, 16, false, 0xbf1d63c50204324bull},
+        {ArchPreset::BaselineAccP2p, 16, true, 0x36b590882151edc9ull},
+        {ArchPreset::BaselineAccP2p, 64, false, 0xf51e462655dfa1c7ull},
+        {ArchPreset::BaselineAccP2p, 64, true, 0xc8f698470b72a563ull},
+        {ArchPreset::BaselineAccP2pGen4, 16, false, 0xbf1d63c50204324bull},
+        {ArchPreset::BaselineAccP2pGen4, 16, true, 0x36b590882151edc9ull},
+        {ArchPreset::BaselineAccP2pGen4, 64, false, 0xf51e462655dfa1c7ull},
+        {ArchPreset::BaselineAccP2pGen4, 64, true, 0xc8f698470b72a563ull},
+        {ArchPreset::TrainBoxNoPool, 16, false, 0xb0a6dc54afa46f1dull},
+        {ArchPreset::TrainBoxNoPool, 16, true, 0x0726b917d16dc4acull},
+        {ArchPreset::TrainBoxNoPool, 64, false, 0xf30ce7106127c265ull},
+        {ArchPreset::TrainBoxNoPool, 64, true, 0x9fce49fa0197495dull},
+        {ArchPreset::TrainBox, 16, false, 0x9bf18c9d27d957aeull},
+        {ArchPreset::TrainBox, 16, true, 0xfbbdbf0c873dddf6ull},
+        {ArchPreset::TrainBox, 64, false, 0x95ad4ad25e07f98dull},
+        {ArchPreset::TrainBox, 64, true, 0xefe6e9b095d1053dull},
+    };
+    for (const auto &pin : kPins) {
+        auto server = buildServer(
+            pinConfig(pin.preset, pin.accs, pin.integrity));
+        const std::string text = dumpTemplates(*server);
+        char got[19];
+        std::snprintf(got, sizeof got, "0x%016llx",
+                      static_cast<unsigned long long>(fnv1a(text)));
+        EXPECT_EQ(fnv1a(text), pin.digest)
+            << presetName(pin.preset) << " accs=" << pin.accs
+            << " integrity=" << pin.integrity << " digest " << got << "\n"
+            << text;
+    }
+}
+
+TEST(Builder, TemplateDigestSeesEveryField)
+{
+    auto server = buildServer(
+        pinConfig(ArchPreset::BaselineAccFpga, 16, true));
+    const std::uint64_t base = fnv1a(dumpTemplates(*server));
+    StageTemplate &st = server->groups[0].stages[0];
+    ASSERT_GE(st.demandsPerSample.size(), 2u);
+
+    FlowDemand &d = st.demandsPerSample[0];
+    const double w = d.weight;
+    d.weight = std::nextafter(w, 2.0 * w);
+    EXPECT_NE(fnv1a(dumpTemplates(*server)), base) << "1-ulp weight";
+    d.weight = w;
+
+    const FlowDemand dropped = st.demandsPerSample.back();
+    st.demandsPerSample.pop_back();
+    EXPECT_NE(fnv1a(dumpTemplates(*server)), base) << "dropped demand";
+    st.demandsPerSample.push_back(dropped);
+
+    st.corruptionHops ^= 1u;
+    EXPECT_NE(fnv1a(dumpTemplates(*server)), base) << "flipped hop bit";
+    st.corruptionHops ^= 1u;
+    EXPECT_EQ(fnv1a(dumpTemplates(*server)), base);
 }
 
 TEST(Initializer, InceptionNeedsNoPool)
