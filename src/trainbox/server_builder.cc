@@ -21,7 +21,7 @@ constexpr double kP2pControlCpu = 5.0e-6;
 
 /**
  * Host CPU cost of serializing + writing one checkpoint byte
- * (core-sec/byte, ~1 core per GB/s). Central presets only: there the
+ * (core-sec/byte, ~1 core per GB/s). Host-staged drains only: there the
  * host process owns the checkpoint write path, whereas clustered boxes
  * drain FPGA-staged snapshots to their SSDs without host involvement.
  */
@@ -41,11 +41,37 @@ constexpr double kCrcCpuPerByte = 1.0e-10;
  */
 constexpr double kIntegrityEngineTax = 0.02;
 
+/** Hops of a PCIe transfer, plus host DRAM when it is staged there. */
+unsigned
+transferHops(bool p2p)
+{
+    return corruptionBit(CorruptionKind::PcieLinkError) |
+           (p2p ? 0u : corruptionBit(CorruptionKind::HostDramFlip));
+}
+
+/**
+ * The devices one prep chain runs over. With @c p2p the data moves
+ * SSD -> prep engine -> accelerator by peer-to-peer DMA; without it
+ * every hop is staged through host DRAM. No prep engines means the
+ * host CPU prepares the data (Baseline), and its stages then compete
+ * for cores by fair share.
+ */
+struct Chain
+{
+    bool p2p;
+    const std::vector<NvmeSsd *> &ssds;
+    const std::vector<PrepAccelerator *> &preps;
+    const std::vector<NnAccelerator *> &accs;
+
+    bool cpuPrepared() const { return preps.empty(); }
+};
+
 /** Shared state while assembling one server. */
 struct Builder
 {
     Server &s;
     const ServerConfig &cfg;
+    const workload::PrepDemand &d;
 
     std::size_t nAcc;
     std::size_t accPerGroup;
@@ -58,12 +84,11 @@ struct Builder
     std::vector<std::vector<NvmeSsd *>> groupSsds;
 
     explicit Builder(Server &server)
-        : s(server), cfg(server.cfg)
+        : s(server), cfg(server.cfg), d(server.demand)
     {
         nAcc = cfg.numAccelerators;
         accPerGroup = std::min<std::size_t>(cfg.box.accPerBox, nAcc);
         nGroups = divCeil(nAcc, accPerGroup);
-        const workload::PrepDemand &d = s.demand;
         engineRate = cfg.preset == ArchPreset::BaselineAccGpu
             ? d.gpuChainRate : d.fpgaChainRate;
         groupAccs.resize(nGroups);
@@ -73,14 +98,14 @@ struct Builder
 
     double stageCpu(PrepStage st) const
     {
-        auto it = s.demand.cpuByStage.find(st);
-        return it == s.demand.cpuByStage.end() ? 0.0 : it->second;
+        auto it = d.cpuByStage.find(st);
+        return it == d.cpuByStage.end() ? 0.0 : it->second;
     }
 
     double stageMem(PrepStage st) const
     {
-        auto it = s.demand.memByStage.find(st);
-        return it == s.demand.memByStage.end() ? 0.0 : it->second;
+        auto it = d.memByStage.find(st);
+        return it == d.memByStage.end() ? 0.0 : it->second;
     }
 
     double
@@ -102,76 +127,277 @@ struct Builder
         return core_sec > 0.0 ? 1.0e-4 / core_sec : 1.0;
     }
 
+    /** Cap @p st at the prep cores and weight it by @p core_sec. */
+    void
+    cpuBound(StageTemplate &st, double core_sec) const
+    {
+        st.rateCap = cpuCap(core_sec);
+        st.fairWeight = cpuFair(core_sec);
+    }
+
     /** Insert checksum generate/verify stages into the chains? */
     bool integrityOn() const
     {
         return cfg.faults.enabled && cfg.faults.integrityChecks;
     }
 
-    /** Checksum stage streamed through prep engines (P2P chains). */
+    // --- Stage kinds (base unit: one sample unless noted) --------------
+
+    /** Read one sample striped over the SSDs, charging @p cpu. */
     StageTemplate
-    engineIntegrityStage(const char *name,
-                         const std::vector<PrepAccelerator *> &preps) const
+    ssdRead(const Chain &c, double cpu) const
     {
+        const double ssd_share = 1.0 / static_cast<double>(c.ssds.size());
         const double prep_share =
-            1.0 / static_cast<double>(preps.size());
+            c.p2p ? 1.0 / static_cast<double>(c.preps.size()) : 0.0;
         StageTemplate st;
-        st.name = name;
-        st.category = "integrity";
-        st.verifiesIntegrity = true;
+        st.name = "ssd_read";
+        st.category = stageCategory(PrepStage::SsdRead);
         DemandSet ds;
-        for (auto *prep : preps)
-            ds.add(prep->engine(), prep_share * kIntegrityEngineTax);
-        ds.add(s.cpu->resource(), kP2pControlCpu);
-        st.demandsPerSample = ds.build();
-        return st;
-    }
-
-    /** Checksum stage run by the host CPU over @p bytes per sample. */
-    StageTemplate
-    hostIntegrityStage(const char *name, double bytes,
-                       bool fairCpu) const
-    {
-        StageTemplate st;
-        st.name = name;
-        st.category = "integrity";
-        st.verifiesIntegrity = true;
-        const double cpu = bytes * kCrcCpuPerByte;
-        DemandSet ds;
-        ds.add(s.cpu->resource(), cpu);
-        ds.add(s.hostMem->resource(), bytes);
-        st.demandsPerSample = ds.build();
-        if (fairCpu) {
-            st.rateCap = cpuCap(cpu);
-            st.fairWeight = cpuFair(cpu);
+        for (auto *ssd : c.ssds) {
+            ds.add(ssd->readDemand(d.ssdBytes * ssd_share).resource,
+                   d.ssdBytes * ssd_share);
+            if (c.p2p) {
+                // Direct SSD -> prep-engine DMA (P2P handler on FPGA).
+                for (auto *prep : c.preps)
+                    ds.add(s.topo->routeDemands(
+                               ssd->node(), prep->node(),
+                               d.ssdBytes * ssd_share * prep_share));
+            } else {
+                ds.add(s.topo->hostRouteDemands(ssd->node(), false,
+                                                d.ssdBytes * ssd_share));
+            }
         }
-        return st;
-    }
-
-    /** Accelerator-ingest verify on P2P delivery (control CPU only). */
-    StageTemplate
-    p2pSinkIntegrityStage() const
-    {
-        StageTemplate st;
-        st.name = "integrity_sink";
-        st.category = "integrity";
-        st.verifiesIntegrity = true;
-        DemandSet ds;
-        ds.add(s.cpu->resource(), kP2pControlCpu);
+        if (!c.p2p)
+            ds.add(s.hostMem->resource(), d.ssdBytes);
+        ds.add(s.cpu->resource(), cpu);
+        if (c.cpuPrepared())
+            st.fairWeight = cpuFair(cpu);
+        st.corruptionHops = corruptionBit(CorruptionKind::SsdBitFlip) |
+                            transferHops(c.p2p);
         st.demandsPerSample = ds.build();
         return st;
     }
 
     /**
-     * Shard-append stage from the host-DRAM ingest buffer onto @p ssds
-     * (base unit: one sample). Every appended byte crosses the RC and
-     * pays the shard write amplification plus the write->read
-     * interference that slows the prep reads on the same SSDs.
+     * Checksum generate (@p source) or verify stage. P2P chains stream
+     * the CRC through the prep engines and verify at accelerator ingest
+     * for control CPU only; host-staged chains run it on the host CPU.
      */
     StageTemplate
-    ingestWriteStage(const std::vector<NvmeSsd *> &ssds) const
+    integrity(const Chain &c, bool source) const
     {
-        const workload::PrepDemand &d = s.demand;
+        StageTemplate st;
+        st.name = source ? "integrity_src" : "integrity_sink";
+        st.category = "integrity";
+        st.verifiesIntegrity = true;
+        DemandSet ds;
+        if (c.p2p) {
+            if (source) {
+                const double prep_share =
+                    1.0 / static_cast<double>(c.preps.size());
+                for (auto *prep : c.preps)
+                    ds.add(prep->engine(), prep_share * kIntegrityEngineTax);
+            }
+            ds.add(s.cpu->resource(), kP2pControlCpu);
+        } else {
+            const double bytes = source ? d.ssdBytes : d.preparedBytes;
+            const double cpu = bytes * kCrcCpuPerByte;
+            ds.add(s.cpu->resource(), cpu);
+            ds.add(s.hostMem->resource(), bytes);
+            if (c.cpuPrepared())
+                cpuBound(st, cpu);
+        }
+        st.demandsPerSample = ds.build();
+        return st;
+    }
+
+    /** One host-CPU prep stage (Baseline formatting or augmentation). */
+    StageTemplate
+    cpuPrep(PrepStage kind) const
+    {
+        StageTemplate st;
+        st.name = stageCategory(kind);
+        st.category = stageCategory(kind);
+        DemandSet ds;
+        ds.add(s.cpu->resource(), stageCpu(kind));
+        ds.add(s.hostMem->resource(), stageMem(kind));
+        st.demandsPerSample = ds.build();
+        cpuBound(st, stageCpu(kind));
+        st.corruptionHops = corruptionBit(CorruptionKind::HostDramFlip);
+        // CPU decode touches every byte: the framework loader's software
+        // validation catches silent flips here (the protection the P2P
+        // path gives up).
+        st.verifiesIntegrity = kind == PrepStage::Formatting;
+        return st;
+    }
+
+    /**
+     * Staged DMA between host DRAM and the prep engines: the read
+     * samples in (@p toPrep), the prepared samples back out.
+     */
+    StageTemplate
+    stagedCopy(const std::vector<PrepAccelerator *> &preps, bool toPrep) const
+    {
+        const double bytes = toPrep ? d.ssdBytes : d.preparedBytes;
+        const double prep_share = 1.0 / static_cast<double>(preps.size());
+        StageTemplate st;
+        st.name = toPrep ? "copy_to_prep" : "copy_from_prep";
+        st.category = "data_copy";
+        DemandSet ds;
+        ds.add(s.hostMem->resource(), bytes);
+        ds.add(s.cpu->resource(), kDmaSetupCpu);
+        for (auto *prep : preps)
+            ds.add(s.topo->hostRouteDemands(prep->node(), toPrep,
+                                            bytes * prep_share));
+        st.corruptionHops = transferHops(false);
+        st.demandsPerSample = ds.build();
+        return st;
+    }
+
+    /** Offloaded formatting + augmentation striped over @p engines. */
+    StageTemplate
+    engineFormatting(const std::vector<FluidResource *> &engines) const
+    {
+        const double share = 1.0 / static_cast<double>(engines.size());
+        StageTemplate st;
+        st.name = "formatting";
+        st.category = stageCategory(PrepStage::Formatting);
+        DemandSet ds;
+        for (auto *engine : engines)
+            ds.add(engine, share);
+        st.demandsPerSample = ds.build();
+        st.corruptionHops = corruptionBit(CorruptionKind::FpgaUpset);
+        return st;
+    }
+
+    /**
+     * Ethernet hop between @p preps' ports and the prep-pool: the read
+     * samples out (@p send), the prepared samples back.
+     */
+    StageTemplate
+    poolHop(const std::vector<PrepAccelerator *> &preps, bool send) const
+    {
+        const double bytes = send ? d.ssdBytes : d.preparedBytes;
+        const double prep_share = 1.0 / static_cast<double>(preps.size());
+        const auto &pool = s.pool->fpgas();
+        const double pool_share = 1.0 / static_cast<double>(pool.size());
+        StageTemplate st;
+        st.name = send ? "pool_send" : "pool_recv";
+        st.category = "data_copy";
+        DemandSet ds;
+        for (auto *prep : preps)
+            ds.add(prep->ethernetPort(), bytes * prep_share);
+        ds.add(s.pool->fabric(), bytes);
+        for (const auto &f : pool)
+            ds.add(f.port, bytes * pool_share);
+        st.demandsPerSample = ds.build();
+        return st;
+    }
+
+    /** Deliver one prepared sample to the accelerators, charging @p cpu. */
+    StageTemplate
+    dataLoad(const Chain &c, double cpu) const
+    {
+        const double acc_share = 1.0 / static_cast<double>(c.accs.size());
+        StageTemplate st;
+        st.name = "data_load";
+        st.category = stageCategory(PrepStage::DataLoad);
+        DemandSet ds;
+        if (c.p2p) {
+            // Direct prep engine -> accelerator DMA.
+            const double prep_share =
+                1.0 / static_cast<double>(c.preps.size());
+            for (auto *prep : c.preps)
+                for (auto *acc : c.accs)
+                    ds.add(s.topo->routeDemands(prep->node(), acc->node(),
+                                                d.preparedBytes *
+                                                    prep_share * acc_share));
+        } else {
+            ds.add(s.hostMem->resource(), d.preparedBytes);
+            for (auto *acc : c.accs)
+                ds.add(s.topo->hostRouteDemands(acc->node(), true,
+                                                d.preparedBytes * acc_share));
+        }
+        ds.add(s.cpu->resource(), cpu);
+        st.corruptionHops = transferHops(c.p2p);
+        st.demandsPerSample = ds.build();
+        if (c.cpuPrepared())
+            cpuBound(st, cpu);
+        return st;
+    }
+
+    /** Framework overheads: host CPU only, capped at the prep cores. */
+    StageTemplate
+    others(const Chain &c) const
+    {
+        const double cpu =
+            c.p2p ? kP2pControlCpu : stageCpu(PrepStage::Others);
+        StageTemplate st;
+        st.name = "others";
+        st.category = stageCategory(PrepStage::Others);
+        DemandSet ds;
+        ds.add(s.cpu->resource(), cpu);
+        st.demandsPerSample = ds.build();
+        if (c.cpuPrepared())
+            cpuBound(st, cpu);
+        else
+            st.rateCap = cpuCap(cpu);
+        return st;
+    }
+
+    /**
+     * Checkpoint drain of one byte onto the chain's SSDs. Host-staged,
+     * the host serializes the snapshot into DRAM and funnels it through
+     * the RC; P2P, the prep engines write it over the box switch, which
+     * opposes the read direction and never crosses the RC.
+     */
+    StageTemplate
+    checkpointWrite(const Chain &c) const
+    {
+        const double ssd_share = 1.0 / static_cast<double>(c.ssds.size());
+        const double prep_share =
+            c.p2p ? 1.0 / static_cast<double>(c.preps.size()) : 0.0;
+        StageTemplate st;
+        st.name = "ckpt_write";
+        st.category = "checkpoint";
+        // The drain flows in bytes while prep flows in samples; under
+        // progressive filling a frozen flow's rate is level*weight, so
+        // weight by one sample's bytes to give the drain the fair share
+        // of one prep stream on every contended resource.
+        st.fairWeight = d.ssdBytes;
+        DemandSet ds;
+        if (!c.p2p) {
+            ds.add(s.hostMem->resource(), 1.0);
+            ds.add(s.cpu->resource(), kCkptSerializeCpu);
+        }
+        for (auto *ssd : c.ssds) {
+            ds.add(ssd->writeDemand(ssd_share).resource, ssd_share);
+            ds.add(ssd->writeReadInterference(ssd_share).resource,
+                   ssd_share * NvmeSsd::kWriteReadInterference);
+            if (c.p2p) {
+                for (auto *prep : c.preps)
+                    ds.add(s.topo->routeDemands(prep->node(), ssd->node(),
+                                                ssd_share * prep_share));
+            } else {
+                ds.add(s.topo->hostRouteDemands(ssd->node(), true,
+                                                ssd_share));
+            }
+        }
+        st.demandsPerSample = ds.build();
+        return st;
+    }
+
+    /**
+     * Shard append from the host-DRAM ingest buffer onto @p ssds (the
+     * buffer fills from the host NIC, so every appended byte crosses
+     * the RC). It pays the shard write amplification plus the
+     * write->read interference that slows the prep reads on the same
+     * SSDs.
+     */
+    StageTemplate
+    ingestWrite(const std::vector<NvmeSsd *> &ssds) const
+    {
         const double ssd_share = 1.0 / static_cast<double>(ssds.size());
         const double bytes = d.ssdBytes * ssd_share; // per SSD
         StageTemplate st;
@@ -190,6 +416,63 @@ struct Builder
         }
         st.demandsPerSample = ds.build();
         return st;
+    }
+
+    // --- Chains ---------------------------------------------------------
+
+    /**
+     * Read, prepare and load over @p c: on the host CPU, on prep
+     * engines fed and drained through host DRAM (Step 1), or on engines
+     * in the P2P datapath (Step 2). @p readCpu and @p loadCpu are the
+     * host cores the read and the load charge per sample.
+     */
+    std::vector<StageTemplate>
+    localChain(const Chain &c, double readCpu, double loadCpu,
+               bool withOthers) const
+    {
+        std::vector<StageTemplate> chain;
+        chain.push_back(ssdRead(c, readCpu));
+        if (integrityOn())
+            chain.push_back(integrity(c, true));
+        if (c.cpuPrepared()) {
+            chain.push_back(cpuPrep(PrepStage::Formatting));
+            chain.push_back(cpuPrep(PrepStage::Augmentation));
+        } else {
+            if (!c.p2p)
+                chain.push_back(stagedCopy(c.preps, true));
+            std::vector<FluidResource *> engines;
+            for (auto *prep : c.preps)
+                engines.push_back(prep->engine());
+            chain.push_back(engineFormatting(engines));
+            if (!c.p2p)
+                chain.push_back(stagedCopy(c.preps, false));
+        }
+        chain.push_back(dataLoad(c, loadCpu));
+        if (integrityOn())
+            chain.push_back(integrity(c, false));
+        if (withOthers)
+            chain.push_back(others(c));
+        return chain;
+    }
+
+    /** The prep-pool chain entering and leaving through @p c's ports. */
+    std::vector<StageTemplate>
+    offloadChain(const Chain &c) const
+    {
+        std::vector<FluidResource *> engines;
+        for (const auto &f : s.pool->fpgas())
+            engines.push_back(f.engine);
+        std::vector<StageTemplate> chain;
+        chain.push_back(ssdRead(c, kP2pControlCpu));
+        if (integrityOn())
+            chain.push_back(integrity(c, true));
+        chain.push_back(poolHop(c.preps, true));
+        chain.push_back(engineFormatting(engines));
+        chain.push_back(poolHop(c.preps, false));
+        chain.push_back(dataLoad(c, 0.0));
+        if (integrityOn())
+            chain.push_back(integrity(c, false));
+        return chain;
     }
 
     /** Build the non-clustered presets (Figs 12-14 + Gen4 + GPU). */
@@ -275,245 +558,27 @@ Builder::buildCentral()
 void
 Builder::makeCentralStages(std::size_t g)
 {
-    auto &topo = *s.topo;
-    const workload::PrepDemand &d = s.demand;
     PrepGroup group;
     group.name = "group" + std::to_string(g);
     group.numAccelerators = groupAccs[g].size();
     group.preps = groupPreps[g];
 
-    const auto &accs = groupAccs[g];
-    const auto &preps = groupPreps[g];
-    const auto &ssds = groupSsds[g];
-    const double acc_share = 1.0 / static_cast<double>(accs.size());
-    const double ssd_share = 1.0 / static_cast<double>(ssds.size());
-    const double prep_share =
-        preps.empty() ? 0.0 : 1.0 / static_cast<double>(preps.size());
+    const Chain c{presetUsesP2p(cfg.preset), groupSsds[g], groupPreps[g],
+                  groupAccs[g]};
+    const double load_cpu = c.p2p ? kP2pControlCpu
+        : c.cpuPrepared()         ? stageCpu(PrepStage::DataLoad)
+                                  : kDmaSetupCpu;
+    group.stages = localChain(
+        c, c.p2p ? kP2pControlCpu : stageCpu(PrepStage::SsdRead), load_cpu,
+        /*withOthers=*/true);
 
-    const bool p2p = presetUsesP2p(cfg.preset);
-
-    // --- Stage: SSD read ---------------------------------------------
-    {
-        StageTemplate st;
-        st.name = "ssd_read";
-        st.category = stageCategory(PrepStage::SsdRead);
-        DemandSet ds;
-        for (auto *ssd : ssds) {
-            ds.add(ssd->readDemand(d.ssdBytes * ssd_share).resource,
-                   d.ssdBytes * ssd_share);
-            if (p2p) {
-                // Direct SSD -> prep-engine DMA (P2P handler on FPGA).
-                for (auto *prep : preps)
-                    ds.add(topo.routeDemands(
-                               ssd->node(), prep->node(),
-                               d.ssdBytes * ssd_share * prep_share));
-            } else {
-                ds.add(topo.hostRouteDemands(ssd->node(), false,
-                                             d.ssdBytes * ssd_share));
-            }
-        }
-        if (p2p) {
-            ds.add(s.cpu->resource(), kP2pControlCpu);
-        } else {
-            ds.add(s.hostMem->resource(), d.ssdBytes);
-            ds.add(s.cpu->resource(), stageCpu(PrepStage::SsdRead));
-            if (preps.empty())
-                st.fairWeight = cpuFair(stageCpu(PrepStage::SsdRead));
-        }
-        st.corruptionHops = corruptionBit(CorruptionKind::SsdBitFlip) |
-                            corruptionBit(CorruptionKind::PcieLinkError);
-        if (!p2p)
-            st.corruptionHops |=
-                corruptionBit(CorruptionKind::HostDramFlip);
-        st.demandsPerSample = ds.build();
-        group.stages.push_back(std::move(st));
-    }
-
-    // --- Checksum-generate stage at the source -----------------------
-    if (integrityOn())
-        group.stages.push_back(
-            p2p ? engineIntegrityStage("integrity_src", preps)
-                : hostIntegrityStage("integrity_src", d.ssdBytes,
-                                     preps.empty()));
-
-    if (preps.empty()) {
-        // --- Baseline: CPU formatting --------------------------------
-        {
-            StageTemplate st;
-            st.name = "formatting";
-            st.category = stageCategory(PrepStage::Formatting);
-            DemandSet ds;
-            ds.add(s.cpu->resource(), stageCpu(PrepStage::Formatting));
-            ds.add(s.hostMem->resource(), stageMem(PrepStage::Formatting));
-            st.demandsPerSample = ds.build();
-            st.rateCap = cpuCap(stageCpu(PrepStage::Formatting));
-            st.fairWeight = cpuFair(stageCpu(PrepStage::Formatting));
-            // CPU decode touches every byte: the framework loader's
-            // software validation catches silent flips here (the
-            // protection the P2P path gives up).
-            st.corruptionHops =
-                corruptionBit(CorruptionKind::HostDramFlip);
-            st.verifiesIntegrity = true;
-            group.stages.push_back(std::move(st));
-        }
-        // --- Baseline: CPU augmentation ------------------------------
-        {
-            StageTemplate st;
-            st.name = "augmentation";
-            st.category = stageCategory(PrepStage::Augmentation);
-            DemandSet ds;
-            ds.add(s.cpu->resource(), stageCpu(PrepStage::Augmentation));
-            ds.add(s.hostMem->resource(),
-                   stageMem(PrepStage::Augmentation));
-            st.demandsPerSample = ds.build();
-            st.rateCap = cpuCap(stageCpu(PrepStage::Augmentation));
-            st.fairWeight = cpuFair(stageCpu(PrepStage::Augmentation));
-            st.corruptionHops =
-                corruptionBit(CorruptionKind::HostDramFlip);
-            group.stages.push_back(std::move(st));
-        }
-    } else if (!p2p) {
-        // --- Step 1 only: staged copy host -> prep engines -----------
-        {
-            StageTemplate st;
-            st.name = "copy_to_prep";
-            st.category = "data_copy";
-            DemandSet ds;
-            ds.add(s.hostMem->resource(), d.ssdBytes);
-            ds.add(s.cpu->resource(), kDmaSetupCpu);
-            for (auto *prep : preps)
-                ds.add(topo.hostRouteDemands(prep->node(), true,
-                                             d.ssdBytes * prep_share));
-            st.corruptionHops =
-                corruptionBit(CorruptionKind::PcieLinkError) |
-                corruptionBit(CorruptionKind::HostDramFlip);
-            st.demandsPerSample = ds.build();
-            group.stages.push_back(std::move(st));
-        }
-    }
-
-    if (!preps.empty()) {
-        // --- Offloaded formatting + augmentation ---------------------
-        StageTemplate st;
-        st.name = "formatting";
-        st.category = stageCategory(PrepStage::Formatting);
-        DemandSet ds;
-        for (auto *prep : preps)
-            ds.add(prep->engine(), prep_share);
-        st.demandsPerSample = ds.build();
-        st.corruptionHops = corruptionBit(CorruptionKind::FpgaUpset);
-        group.stages.push_back(std::move(st));
-
-        if (!p2p) {
-            // --- Staged copy prep engines -> host --------------------
-            StageTemplate back;
-            back.name = "copy_from_prep";
-            back.category = "data_copy";
-            DemandSet bs;
-            bs.add(s.hostMem->resource(), d.preparedBytes);
-            bs.add(s.cpu->resource(), kDmaSetupCpu);
-            for (auto *prep : preps)
-                bs.add(topo.hostRouteDemands(prep->node(), false,
-                                             d.preparedBytes *
-                                                 prep_share));
-            back.corruptionHops =
-                corruptionBit(CorruptionKind::PcieLinkError) |
-                corruptionBit(CorruptionKind::HostDramFlip);
-            back.demandsPerSample = bs.build();
-            group.stages.push_back(std::move(back));
-        }
-    }
-
-    // --- Stage: data load into the accelerators ----------------------
-    {
-        StageTemplate st;
-        st.name = "data_load";
-        st.category = stageCategory(PrepStage::DataLoad);
-        DemandSet ds;
-        if (p2p) {
-            // Direct prep engine -> accelerator DMA.
-            for (auto *prep : preps)
-                for (auto *acc : accs)
-                    ds.add(topo.routeDemands(prep->node(), acc->node(),
-                                             d.preparedBytes *
-                                                 prep_share * acc_share));
-            ds.add(s.cpu->resource(), kP2pControlCpu);
-        } else {
-            ds.add(s.hostMem->resource(), d.preparedBytes);
-            for (auto *acc : accs)
-                ds.add(topo.hostRouteDemands(acc->node(), true,
-                                             d.preparedBytes * acc_share));
-            ds.add(s.cpu->resource(),
-                   preps.empty() ? stageCpu(PrepStage::DataLoad)
-                                 : kDmaSetupCpu);
-        }
-        st.corruptionHops = corruptionBit(CorruptionKind::PcieLinkError);
-        if (!p2p)
-            st.corruptionHops |=
-                corruptionBit(CorruptionKind::HostDramFlip);
-        st.demandsPerSample = ds.build();
-        if (preps.empty()) {
-            st.rateCap = cpuCap(stageCpu(PrepStage::DataLoad));
-            st.fairWeight = cpuFair(stageCpu(PrepStage::DataLoad));
-        }
-        group.stages.push_back(std::move(st));
-    }
-
-    // --- Checksum-verify stage at the sink ---------------------------
-    if (integrityOn())
-        group.stages.push_back(
-            p2p ? p2pSinkIntegrityStage()
-                : hostIntegrityStage("integrity_sink", d.preparedBytes,
-                                     preps.empty()));
-
-    // --- Stage: framework overheads ----------------------------------
-    {
-        StageTemplate st;
-        st.name = "others";
-        st.category = stageCategory(PrepStage::Others);
-        DemandSet ds;
-        const double cpu = preps.empty()
-            ? stageCpu(PrepStage::Others)
-            : (p2p ? kP2pControlCpu : stageCpu(PrepStage::Others));
-        ds.add(s.cpu->resource(), cpu);
-        st.demandsPerSample = ds.build();
-        st.rateCap = cpuCap(cpu);
-        if (preps.empty())
-            st.fairWeight = cpuFair(cpu);
-        group.stages.push_back(std::move(st));
-    }
-
-    // --- Checkpoint drain path (base unit: one byte) -----------------
-    // Central presets stage the snapshot through host DRAM and funnel
-    // it through the RC to the shared SSD boxes — the same RC the prep
+    // Central presets stage the snapshot through host DRAM and funnel it
+    // through the RC to the shared SSD boxes — the same RC the prep
     // reads cross, so a drain directly steals prep bandwidth.
-    {
-        StageTemplate st;
-        st.name = "ckpt_write";
-        st.category = "checkpoint";
-        // The drain flows in bytes while prep flows in samples; under
-        // progressive filling a frozen flow's rate is level*weight, so
-        // weight by one sample's bytes to give the drain the fair share
-        // of one prep stream on every contended resource.
-        st.fairWeight = d.ssdBytes;
-        DemandSet ds;
-        ds.add(s.hostMem->resource(), 1.0);
-        ds.add(s.cpu->resource(), kCkptSerializeCpu);
-        for (auto *ssd : ssds) {
-            ds.add(ssd->writeDemand(ssd_share).resource, ssd_share);
-            ds.add(ssd->writeReadInterference(ssd_share).resource,
-                   ssd_share * NvmeSsd::kWriteReadInterference);
-            ds.add(topo.hostRouteDemands(ssd->node(), true, ssd_share));
-        }
-        st.demandsPerSample = ds.build();
-        group.checkpointWrite = std::move(st);
-    }
-
-    // --- Ingest shard-append path -------------------------------------
-    // Freshly arrived samples drain from the host-DRAM ingest buffer
-    // through the RC to the shared SSD boxes.
+    group.checkpointWrite =
+        checkpointWrite({false, c.ssds, c.preps, c.accs});
     if (cfg.ingest.enabled)
-        group.ingestWrite = ingestWriteStage(ssds);
+        group.ingestWrite = ingestWrite(c.ssds);
 
     s.groups.push_back(std::move(group));
 }
@@ -581,339 +646,54 @@ Builder::buildClustered()
 void
 Builder::makeClusteredStages(std::size_t g)
 {
-    auto &topo = *s.topo;
-    const workload::PrepDemand &d = s.demand;
     PrepGroup group;
     group.name = "tbox" + std::to_string(g);
     group.numAccelerators = groupAccs[g].size();
     group.preps = groupPreps[g];
 
-    const auto &accs = groupAccs[g];
     const auto &ssds = groupSsds[g];
-    const double acc_share = 1.0 / static_cast<double>(accs.size());
-    const double ssd_share = 1.0 / static_cast<double>(ssds.size());
+    const auto &accs = groupAccs[g];
+    const Chain local{true, ssds, groupPreps[g], accs};
+    // A prep-FPGA crash kills preps.back(); the survivors stripe the
+    // degraded chains (none when the box has a single FPGA).
+    const std::vector<PrepAccelerator *> survivors(
+        local.preps.begin(), local.preps.end() - 1);
+    const Chain degraded{true, ssds, survivors, accs};
 
-    using PrepVec = std::vector<PrepAccelerator *>;
-    const PrepVec &all_preps = groupPreps[g];
-
-    // Local SSD -> FPGA fetch demands (shared by local/offload chains).
-    auto fetch_demands = [&](const PrepVec &preps) {
-        const double prep_share = 1.0 / static_cast<double>(preps.size());
-        DemandSet ds;
-        for (auto *ssd : ssds) {
-            ds.add(ssd->readDemand(d.ssdBytes * ssd_share).resource,
-                   d.ssdBytes * ssd_share);
-            for (auto *prep : preps)
-                ds.add(topo.routeDemands(ssd->node(), prep->node(),
-                                         d.ssdBytes * ssd_share *
-                                             prep_share));
-        }
-        return ds;
-    };
-    // Local FPGA -> accelerator delivery demands.
-    auto deliver_demands = [&](const PrepVec &preps) {
-        const double prep_share = 1.0 / static_cast<double>(preps.size());
-        DemandSet ds;
-        for (auto *prep : preps)
-            for (auto *acc : accs)
-                ds.add(topo.routeDemands(prep->node(), acc->node(),
-                                         d.preparedBytes * prep_share *
-                                             acc_share));
-        return ds;
-    };
-
-    // The in-box P2P chain striped over @p preps (all FPGAs for the
-    // healthy template, the survivors for the degraded one).
-    auto local_chain = [&](const PrepVec &preps) {
-        const double prep_share = 1.0 / static_cast<double>(preps.size());
-        std::vector<StageTemplate> stages;
-        {
-            StageTemplate st;
-            st.name = "ssd_read";
-            st.category = stageCategory(PrepStage::SsdRead);
-            DemandSet ds = fetch_demands(preps);
-            ds.add(s.cpu->resource(), kP2pControlCpu);
-            st.corruptionHops =
-                corruptionBit(CorruptionKind::SsdBitFlip) |
-                corruptionBit(CorruptionKind::PcieLinkError);
-            st.demandsPerSample = ds.build();
-            stages.push_back(std::move(st));
-        }
-        if (integrityOn())
-            stages.push_back(engineIntegrityStage("integrity_src", preps));
-        {
-            StageTemplate st;
-            st.name = "formatting";
-            st.category = stageCategory(PrepStage::Formatting);
-            DemandSet ds;
-            for (auto *prep : preps)
-                ds.add(prep->engine(), prep_share);
-            st.demandsPerSample = ds.build();
-            st.corruptionHops = corruptionBit(CorruptionKind::FpgaUpset);
-            stages.push_back(std::move(st));
-        }
-        {
-            StageTemplate st;
-            st.name = "data_load";
-            st.category = stageCategory(PrepStage::DataLoad);
-            st.demandsPerSample = deliver_demands(preps).build();
-            st.corruptionHops =
-                corruptionBit(CorruptionKind::PcieLinkError);
-            stages.push_back(std::move(st));
-        }
-        if (integrityOn())
-            stages.push_back(p2pSinkIntegrityStage());
-        {
-            StageTemplate st;
-            st.name = "others";
-            st.category = stageCategory(PrepStage::Others);
-            DemandSet ds;
-            ds.add(s.cpu->resource(), kP2pControlCpu);
-            st.demandsPerSample = ds.build();
-            st.rateCap = cpuCap(kP2pControlCpu);
-            stages.push_back(std::move(st));
-        }
-        return stages;
-    };
-
-    // The prep-pool chain entering/leaving through @p preps' Ethernet.
-    auto offload_chain = [&](const PrepVec &preps) {
-        const double prep_share = 1.0 / static_cast<double>(preps.size());
-        const auto &pool = s.pool->fpgas();
-        const double pool_share = 1.0 / static_cast<double>(pool.size());
-        std::vector<StageTemplate> stages;
-        {
-            StageTemplate st;
-            st.name = "ssd_read";
-            st.category = stageCategory(PrepStage::SsdRead);
-            DemandSet ds = fetch_demands(preps);
-            ds.add(s.cpu->resource(), kP2pControlCpu);
-            st.corruptionHops =
-                corruptionBit(CorruptionKind::SsdBitFlip) |
-                corruptionBit(CorruptionKind::PcieLinkError);
-            st.demandsPerSample = ds.build();
-            stages.push_back(std::move(st));
-        }
-        if (integrityOn())
-            stages.push_back(engineIntegrityStage("integrity_src", preps));
-        {
-            StageTemplate st;
-            st.name = "pool_send";
-            st.category = "data_copy";
-            DemandSet ds;
-            for (auto *prep : preps)
-                ds.add(prep->ethernetPort(), d.ssdBytes * prep_share);
-            ds.add(s.pool->fabric(), d.ssdBytes);
-            for (const auto &f : pool)
-                ds.add(f.port, d.ssdBytes * pool_share);
-            st.demandsPerSample = ds.build();
-            stages.push_back(std::move(st));
-        }
-        {
-            StageTemplate st;
-            st.name = "formatting";
-            st.category = stageCategory(PrepStage::Formatting);
-            DemandSet ds;
-            for (const auto &f : pool)
-                ds.add(f.engine, pool_share);
-            st.demandsPerSample = ds.build();
-            st.corruptionHops = corruptionBit(CorruptionKind::FpgaUpset);
-            stages.push_back(std::move(st));
-        }
-        {
-            StageTemplate st;
-            st.name = "pool_recv";
-            st.category = "data_copy";
-            DemandSet ds;
-            for (const auto &f : pool)
-                ds.add(f.port, d.preparedBytes * pool_share);
-            ds.add(s.pool->fabric(), d.preparedBytes);
-            for (auto *prep : preps)
-                ds.add(prep->ethernetPort(),
-                       d.preparedBytes * prep_share);
-            st.demandsPerSample = ds.build();
-            stages.push_back(std::move(st));
-        }
-        {
-            StageTemplate st;
-            st.name = "data_load";
-            st.category = stageCategory(PrepStage::DataLoad);
-            st.demandsPerSample = deliver_demands(preps).build();
-            st.corruptionHops =
-                corruptionBit(CorruptionKind::PcieLinkError);
-            stages.push_back(std::move(st));
-        }
-        if (integrityOn())
-            stages.push_back(p2pSinkIntegrityStage());
-        return stages;
-    };
-
-    // Host-memory fallback chain (P2P route lost): the box's data takes
-    // the central presets' Step-1 staging path through host DRAM.
-    auto host_chain = [&]() {
-        const double prep_share =
-            1.0 / static_cast<double>(all_preps.size());
-        std::vector<StageTemplate> stages;
-        {
-            StageTemplate st;
-            st.name = "ssd_read";
-            st.category = stageCategory(PrepStage::SsdRead);
-            DemandSet ds;
-            for (auto *ssd : ssds) {
-                ds.add(ssd->readDemand(d.ssdBytes * ssd_share).resource,
-                       d.ssdBytes * ssd_share);
-                ds.add(topo.hostRouteDemands(ssd->node(), false,
-                                             d.ssdBytes * ssd_share));
-            }
-            ds.add(s.hostMem->resource(), d.ssdBytes);
-            ds.add(s.cpu->resource(), kDmaSetupCpu);
-            st.corruptionHops =
-                corruptionBit(CorruptionKind::SsdBitFlip) |
-                corruptionBit(CorruptionKind::PcieLinkError) |
-                corruptionBit(CorruptionKind::HostDramFlip);
-            st.demandsPerSample = ds.build();
-            stages.push_back(std::move(st));
-        }
-        if (integrityOn())
-            stages.push_back(hostIntegrityStage("integrity_src",
-                                                d.ssdBytes, false));
-        {
-            StageTemplate st;
-            st.name = "copy_to_prep";
-            st.category = "data_copy";
-            DemandSet ds;
-            ds.add(s.hostMem->resource(), d.ssdBytes);
-            ds.add(s.cpu->resource(), kDmaSetupCpu);
-            for (auto *prep : all_preps)
-                ds.add(topo.hostRouteDemands(prep->node(), true,
-                                             d.ssdBytes * prep_share));
-            st.corruptionHops =
-                corruptionBit(CorruptionKind::PcieLinkError) |
-                corruptionBit(CorruptionKind::HostDramFlip);
-            st.demandsPerSample = ds.build();
-            stages.push_back(std::move(st));
-        }
-        {
-            StageTemplate st;
-            st.name = "formatting";
-            st.category = stageCategory(PrepStage::Formatting);
-            DemandSet ds;
-            for (auto *prep : all_preps)
-                ds.add(prep->engine(), prep_share);
-            st.demandsPerSample = ds.build();
-            st.corruptionHops = corruptionBit(CorruptionKind::FpgaUpset);
-            stages.push_back(std::move(st));
-        }
-        {
-            StageTemplate st;
-            st.name = "copy_from_prep";
-            st.category = "data_copy";
-            DemandSet ds;
-            ds.add(s.hostMem->resource(), d.preparedBytes);
-            ds.add(s.cpu->resource(), kDmaSetupCpu);
-            for (auto *prep : all_preps)
-                ds.add(topo.hostRouteDemands(prep->node(), false,
-                                             d.preparedBytes *
-                                                 prep_share));
-            st.corruptionHops =
-                corruptionBit(CorruptionKind::PcieLinkError) |
-                corruptionBit(CorruptionKind::HostDramFlip);
-            st.demandsPerSample = ds.build();
-            stages.push_back(std::move(st));
-        }
-        {
-            StageTemplate st;
-            st.name = "data_load";
-            st.category = stageCategory(PrepStage::DataLoad);
-            DemandSet ds;
-            ds.add(s.hostMem->resource(), d.preparedBytes);
-            ds.add(s.cpu->resource(), kDmaSetupCpu);
-            for (auto *acc : accs)
-                ds.add(topo.hostRouteDemands(acc->node(), true,
-                                             d.preparedBytes * acc_share));
-            st.corruptionHops =
-                corruptionBit(CorruptionKind::PcieLinkError) |
-                corruptionBit(CorruptionKind::HostDramFlip);
-            st.demandsPerSample = ds.build();
-            stages.push_back(std::move(st));
-        }
-        if (integrityOn())
-            stages.push_back(hostIntegrityStage("integrity_sink",
-                                                d.preparedBytes, false));
-        return stages;
-    };
-
-    // --- Local chain --------------------------------------------------
-    group.stages = local_chain(all_preps);
+    group.stages =
+        localChain(local, kP2pControlCpu, 0.0, /*withOthers=*/true);
 
     // --- Recovery templates (exercised only under fault injection) ----
-    group.hostPathStages = host_chain();
-    if (all_preps.size() > 1) {
-        const PrepVec survivors(all_preps.begin(), all_preps.end() - 1);
-        group.degradedStages = local_chain(survivors);
-    }
+    // Route loss: the box's data takes the central presets' Step-1
+    // staging path through host DRAM.
+    group.hostPathStages = localChain({false, ssds, local.preps, accs},
+                                      kDmaSetupCpu, kDmaSetupCpu,
+                                      /*withOthers=*/false);
+    if (!survivors.empty())
+        group.degradedStages =
+            localChain(degraded, kP2pControlCpu, 0.0, /*withOthers=*/true);
 
     // --- Offload chain (prep-pool) -------------------------------------
     // Built whenever the pool exists — even at offloadFraction 0 — so
     // crash failover can lend pool capacity to a degraded box.
     if (s.pool) {
         group.offloadFraction = s.plan.offloadFraction;
-        group.offloadStages = offload_chain(all_preps);
-        if (all_preps.size() > 1) {
-            const PrepVec survivors(all_preps.begin(),
-                                    all_preps.end() - 1);
-            group.degradedOffloadStages = offload_chain(survivors);
-        }
+        group.offloadStages = offloadChain(local);
+        if (!survivors.empty())
+            group.degradedOffloadStages = offloadChain(degraded);
     }
 
-    // --- Checkpoint drain path (base unit: one byte) -------------------
-    // Clustered boxes drain through their FPGAs to their *own* SSDs over
-    // the box switch — the write direction opposes the read direction on
-    // the switch links and never crosses the RC, so checkpoint traffic
-    // costs the prep path far less than in the central designs.
-    {
-        const double prep_share =
-            1.0 / static_cast<double>(all_preps.size());
-        StageTemplate st;
-        st.name = "ckpt_write";
-        st.category = "checkpoint";
-        // Same byte-vs-sample weight normalization as the central path.
-        st.fairWeight = d.ssdBytes;
-        DemandSet ds;
-        for (auto *ssd : ssds) {
-            ds.add(ssd->writeDemand(ssd_share).resource, ssd_share);
-            ds.add(ssd->writeReadInterference(ssd_share).resource,
-                   ssd_share * NvmeSsd::kWriteReadInterference);
-            for (auto *prep : all_preps)
-                ds.add(topo.routeDemands(prep->node(), ssd->node(),
-                                         ssd_share * prep_share));
-        }
-        st.demandsPerSample = ds.build();
-        group.checkpointWrite = std::move(st);
-    }
-
-    // --- Ingest shard-append path ---------------------------------------
+    group.checkpointWrite = checkpointWrite(local);
     // Arrivals land in host DRAM (the ingest buffer fills from the host
     // NIC), so unlike checkpoint drains the shard appends *do* cross the
     // RC — but they target the box's own SSDs.
     if (cfg.ingest.enabled)
-        group.ingestWrite = ingestWriteStage(ssds);
+        group.ingestWrite = ingestWrite(ssds);
 
     s.groups.push_back(std::move(group));
 }
 
 } // namespace
-
-Server::Server(const ServerConfig &config)
-    : Server(config, static_cast<SimulationCore *>(nullptr), std::string())
-{
-}
-
-Server::Server(const ServerConfig &config, SimulationCore &core,
-               std::string resourcePrefix)
-    : Server(config, &core, std::move(resourcePrefix))
-{
-}
 
 Server::Server(const ServerConfig &config, SimulationCore *core,
                std::string resourcePrefix)

@@ -144,12 +144,10 @@ struct PrepGroup
  *
  * A server is a *client* of a SimulationCore: the core owns the event
  * queue, clock, fluid network, and metrics registry; the server owns
- * the devices, topology, and stage templates wired onto them. The
- * single-argument constructor creates a private core (the historical
- * one-server-one-timeline shape, bit-identical to when the queue and
- * network were value members); the core-taking constructor attaches to
- * a shared core so N servers simulate on one timeline (see
- * docs/FLEET.md).
+ * the devices, topology, and stage templates wired onto them. Only
+ * buildServer() makes one: with no core it creates a private one (the
+ * historical one-server-one-timeline shape), with a shared core N
+ * servers simulate on one timeline (see docs/FLEET.md).
  */
 class Server
 {
@@ -161,17 +159,6 @@ class Server
     std::string prefix_;
 
   public:
-    /** Standalone server with a private simulation core. */
-    explicit Server(const ServerConfig &cfg);
-
-    /**
-     * Server attached to a shared @p core. Every fluid resource the
-     * builder creates is namespaced under @p resourcePrefix
-     * ("job0." ...); pass "" only when no other server shares the core.
-     */
-    Server(const ServerConfig &cfg, SimulationCore &core,
-           std::string resourcePrefix);
-
     Server(const Server &) = delete;
     Server &operator=(const Server &) = delete;
 
@@ -214,7 +201,11 @@ class Server
     std::vector<PrepGroup> groups;
 
     /** Per-accelerator batch size actually used. */
-    std::size_t batchSize() const { return cfg.effectiveBatchSize(); }
+    std::size_t
+    batchSize() const
+    {
+        return cfg.batchSize != 0 ? cfg.batchSize : model.batchSize;
+    }
 
     /** Compute time of one batch on one accelerator. */
     Time computeTime() const;
@@ -227,7 +218,11 @@ class Server
                                                SimulationCore *,
                                                const std::string &);
 
-    /** Common tail of both public constructors (nullptr = own a core). */
+    /**
+     * Server on @p core (nullptr = a private core). Every fluid resource
+     * the builder creates is namespaced under @p resourcePrefix
+     * ("job0." ...); it is "" only when no other server shares the core.
+     */
     Server(const ServerConfig &cfg, SimulationCore *core,
            std::string resourcePrefix);
 

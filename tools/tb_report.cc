@@ -107,24 +107,25 @@ usage(std::FILE *out)
         "  --list           list presets and models, then exit\n");
 }
 
+/** CLI name of every preset, in --help order. */
+const struct
+{
+    const char *name;
+    tb::ArchPreset preset;
+} kPresets[] = {
+    {"baseline", tb::ArchPreset::Baseline},
+    {"acc", tb::ArchPreset::BaselineAccFpga},
+    {"acc-gpu", tb::ArchPreset::BaselineAccGpu},
+    {"p2p", tb::ArchPreset::BaselineAccP2p},
+    {"p2p-gen4", tb::ArchPreset::BaselineAccP2pGen4},
+    {"no-pool", tb::ArchPreset::TrainBoxNoPool},
+    {"trainbox", tb::ArchPreset::TrainBox},
+};
+
 bool
 parsePreset(const std::string &s, tb::ArchPreset &out)
 {
-    using tb::ArchPreset;
-    static const struct
-    {
-        const char *name;
-        ArchPreset preset;
-    } kMap[] = {
-        {"baseline", ArchPreset::Baseline},
-        {"acc", ArchPreset::BaselineAccFpga},
-        {"acc-gpu", ArchPreset::BaselineAccGpu},
-        {"p2p", ArchPreset::BaselineAccP2p},
-        {"p2p-gen4", ArchPreset::BaselineAccP2pGen4},
-        {"no-pool", ArchPreset::TrainBoxNoPool},
-        {"trainbox", ArchPreset::TrainBox},
-    };
-    for (const auto &e : kMap)
+    for (const auto &e : kPresets)
         if (s == e.name) {
             out = e.preset;
             return true;
@@ -136,13 +137,9 @@ void
 listChoices()
 {
     std::printf("presets:\n");
-    static const char *const kNames[] = {"baseline", "acc",     "acc-gpu",
-                                         "p2p",      "p2p-gen4", "no-pool",
-                                         "trainbox"};
-    std::size_t i = 0;
-    for (tb::ArchPreset p : tb::allPresets())
-        std::printf("  %-9s %s — %s\n", kNames[i++], tb::presetName(p),
-                    tb::presetDescription(p));
+    for (const auto &e : kPresets)
+        std::printf("  %-9s %s — %s\n", e.name, tb::presetName(e.preset),
+                    tb::presetDescription(e.preset));
     std::printf("models:\n");
     for (const auto &m : tb::workload::modelZoo())
         std::printf("  %-12s %s (batch %zu)\n", m.name.c_str(),
