@@ -221,7 +221,7 @@ class Server
     /**
      * Server on @p core (nullptr = a private core). Every fluid resource
      * the builder creates is namespaced under @p resourcePrefix
-     * ("job0." ...); it is "" only when no other server shares the core.
+     * ("job0." ...); pass "" only when no other server shares the core.
      */
     Server(const ServerConfig &cfg, SimulationCore *core,
            std::string resourcePrefix);
